@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all check fmt-check test race test-race race-sharded fuzz-smoke ssdcheck-quick ssdcheck-nightly soak-serve soak-gc obs-smoke bench bench-smoke bench-json bench-sharded bench-capacity bench-capacity-smoke bench-gc experiments experiments-full lint
+.PHONY: all check fmt-check test race test-race race-sharded fuzz-smoke ssdcheck-quick ssdcheck-nightly soak-serve soak-gc obs-smoke perfbench-smoke bench bench-smoke bench-json bench-sharded bench-capacity bench-capacity-smoke bench-gc experiments experiments-full lint
 
 all: test
 
@@ -68,6 +68,20 @@ obs-smoke:
 	@grep -q '^P99' obs-smoke/report.txt || \
 		{ echo "obs-smoke: no blame table in report"; exit 1; }
 	@echo obs-smoke ok
+
+# perfbench-smoke checks the benchmark (BENCHMARK.json, perfbench/): its
+# own tests under the race detector, which `go test ./...` never runs
+# because perfbench is a separate module, then a two-second traced run of
+# each workload, whose result line must report "correct":true. About
+# 2.5 minutes on a 2-vCPU host, two of them in the race-detected tests.
+perfbench-smoke:
+	cd perfbench && go test -race -count=1 .
+	@for w in replay-stream replay-gc-sharded serve-http; do \
+		out="$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 2 --trace 1 | tail -n 1)"; \
+		echo "$$w: $$out" | cut -c 1-160; \
+		echo "$$out" | grep -q '"correct":true' || \
+			{ echo "perfbench-smoke: $$w did not report correct"; exit 1; }; \
+	done
 
 # fuzz-smoke runs each fuzz target briefly: not a soak, just proof that
 # the targets still build and survive a short adversarial pass.

@@ -10,7 +10,7 @@ import (
 
 // Aged-device scenario: a device that has already spent most of its P/E
 // budget before the trace starts. Blocks are pre-worn near retirement
-// (flash.Array.PreWear via fault.Config.PrewornErases) and the grown-defect
+// (ftl.FTL.PreWear via fault.Config.PrewornErases) and the grown-defect
 // rate is elevated, so wear detection retires a realistic population of
 // blocks mid-replay — the regime where GC scheduling, retirement
 // accounting and the read-only degradation path all earn their keep.

@@ -90,7 +90,7 @@ type Config struct {
 	// value before the run — the "aged device" scenario: a device that has
 	// already lived most of its P/E budget, so endurance projections start
 	// deep in life and grown-defect rates bite a realistic population.
-	// Applied by the device layer via flash.Array.PreWear; consumes no
+	// Applied by the device layer via ftl.FTL.PreWear; consumes no
 	// fault-stream draws, so enabling it never perturbs injection.
 	PrewornErases int
 	// PrewornJitter spreads the preworn counts: each block adds a

@@ -165,7 +165,7 @@ func TestInvalidateAndErase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Params().PageOfPPN(ppn2) != 0 {
+	if p := a.Params(); p.PageOfPPN(ppn2) != 0 {
 		t.Fatal("erased block did not restart at page 0")
 	}
 	if err := a.CheckInvariants(); err != nil {

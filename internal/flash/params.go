@@ -72,7 +72,7 @@ func ScaledParams(blockDivisor int) Params {
 }
 
 // Validate reports whether the parameters describe a usable device.
-func (p Params) Validate() error {
+func (p *Params) Validate() error {
 	switch {
 	case p.Channels < 1:
 		return fmt.Errorf("flash: Channels = %d, need >= 1", p.Channels)
@@ -97,32 +97,32 @@ func (p Params) Validate() error {
 }
 
 // Chips returns the total chip count.
-func (p Params) Chips() int { return p.Channels * p.ChipsPerChannel }
+func (p *Params) Chips() int { return p.Channels * p.ChipsPerChannel }
 
 // Planes returns the total plane count.
-func (p Params) Planes() int { return p.Chips() * p.PlanesPerChip }
+func (p *Params) Planes() int { return p.Chips() * p.PlanesPerChip }
 
 // Blocks returns the total physical block count.
-func (p Params) Blocks() int { return p.Planes() * p.BlocksPerPlane }
+func (p *Params) Blocks() int { return p.Planes() * p.BlocksPerPlane }
 
 // PhysicalPages returns the total physical page count.
-func (p Params) PhysicalPages() int64 {
+func (p *Params) PhysicalPages() int64 {
 	return int64(p.Blocks()) * int64(p.PagesPerBlock)
 }
 
 // LogicalPages returns the page count exposed to the host after
 // over-provisioning.
-func (p Params) LogicalPages() int64 {
+func (p *Params) LogicalPages() int64 {
 	return int64(float64(p.PhysicalPages()) * (1 - p.OverProvision))
 }
 
 // PhysicalBytes returns the raw capacity in bytes.
-func (p Params) PhysicalBytes() int64 {
+func (p *Params) PhysicalBytes() int64 {
 	return p.PhysicalPages() * int64(p.PageSize)
 }
 
 // PageTransferTime returns the channel occupancy of one page transfer.
-func (p Params) PageTransferTime() int64 {
+func (p *Params) PageTransferTime() int64 {
 	return p.TransferPerByte * int64(p.PageSize)
 }
 
@@ -134,34 +134,34 @@ func (p Params) PageTransferTime() int64 {
 // + chip)*PlanesPerChip + planeInChip.
 
 // PlaneOfBlock returns the plane index a physical block belongs to.
-func (p Params) PlaneOfBlock(block int) int { return block / p.BlocksPerPlane }
+func (p *Params) PlaneOfBlock(block int) int { return block / p.BlocksPerPlane }
 
 // ChipOfBlock returns the global chip index a physical block belongs to.
-func (p Params) ChipOfBlock(block int) int {
+func (p *Params) ChipOfBlock(block int) int {
 	return p.PlaneOfBlock(block) / p.PlanesPerChip
 }
 
 // ChannelOfBlock returns the channel a physical block belongs to.
-func (p Params) ChannelOfBlock(block int) int {
+func (p *Params) ChannelOfBlock(block int) int {
 	return p.ChipOfBlock(block) / p.ChipsPerChannel
 }
 
 // BlockOfPPN returns the physical block containing a PPN.
-func (p Params) BlockOfPPN(ppn int64) int { return int(ppn / int64(p.PagesPerBlock)) }
+func (p *Params) BlockOfPPN(ppn int64) int { return int(ppn / int64(p.PagesPerBlock)) }
 
 // PageOfPPN returns the in-block page index of a PPN.
-func (p Params) PageOfPPN(ppn int64) int { return int(ppn % int64(p.PagesPerBlock)) }
+func (p *Params) PageOfPPN(ppn int64) int { return int(ppn % int64(p.PagesPerBlock)) }
 
 // ChannelOfPPN returns the channel servicing a PPN.
-func (p Params) ChannelOfPPN(ppn int64) int { return p.ChannelOfBlock(p.BlockOfPPN(ppn)) }
+func (p *Params) ChannelOfPPN(ppn int64) int { return p.ChannelOfBlock(p.BlockOfPPN(ppn)) }
 
 // ChipOfPPN returns the global chip index servicing a PPN.
-func (p Params) ChipOfPPN(ppn int64) int { return p.ChipOfBlock(p.BlockOfPPN(ppn)) }
+func (p *Params) ChipOfPPN(ppn int64) int { return p.ChipOfBlock(p.BlockOfPPN(ppn)) }
 
 // FirstBlockOfPlane returns the first physical block index of a plane.
-func (p Params) FirstBlockOfPlane(plane int) int { return plane * p.BlocksPerPlane }
+func (p *Params) FirstBlockOfPlane(plane int) int { return plane * p.BlocksPerPlane }
 
 // PPN builds a physical page number from block and in-block page.
-func (p Params) PPN(block, page int) int64 {
+func (p *Params) PPN(block, page int) int64 {
 	return int64(block)*int64(p.PagesPerBlock) + int64(page)
 }

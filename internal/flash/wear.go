@@ -24,7 +24,8 @@ type Wear struct {
 // [0, jitter] (splitmix64 of seed and the block number, so two arrays
 // pre-worn with equal arguments age identically). Page states are
 // untouched: the array is still empty, only its wear history changes, so
-// every invariant holds before and after.
+// every invariant holds before and after. An FTL over the array indexes
+// its free blocks by erase count, so age it through ftl.FTL.PreWear.
 func (a *Array) PreWear(seed uint64, erases, jitter int) {
 	if erases <= 0 && jitter <= 0 {
 		return

@@ -96,13 +96,14 @@ type FTL struct {
 	mapping []int32 // LPN -> PPN (int32 is sufficient: < 2^31 pages)
 	reverse []int32 // PPN -> LPN, needed to remap pages during GC
 
-	freeBlocks  [][]int32 // per plane: stack of erased blocks
-	activeBlock []int32   // per plane: block accepting host programs, -1 if none
-	gcActive    []int32   // per plane: block accepting GC migrations, -1 if none
-	stripeOrder []int32   // plane visit order for striped allocation (channels first)
-	stripeNext  int       // cursor into stripeOrder
-	boundNext   int       // cursor into stripeOrder for block-bound flushes
-	chanCursor  []int     // per channel: plane rotation for channel-bound flushes
+	freeBlocks  [][]int32   // per plane: stack of erased blocks
+	wear        []wearIndex // per plane: where the least-worn free blocks are
+	activeBlock []int32     // per plane: block accepting host programs, -1 if none
+	gcActive    []int32     // per plane: block accepting GC migrations, -1 if none
+	stripeOrder []int32     // plane visit order for striped allocation (channels first)
+	stripeNext  int         // cursor into stripeOrder
+	boundNext   int         // cursor into stripeOrder for block-bound flushes
+	chanCursor  []int       // per channel: plane rotation for channel-bound flushes
 
 	gcLow      int  // free-block count per plane that triggers GC
 	wearLevel  bool // pick least-erased free blocks (dynamic wear leveling)
@@ -115,6 +116,10 @@ type FTL struct {
 	degraded      bool           // read-only mode
 	checker       *fault.Checker // invariant checker, run after recoveries
 	pendingCheck  bool           // a recovery happened in the current op
+
+	// pickHook, when set, sees every block open: the plane, its free list
+	// and the position takeFree chose (tests check the wear index with it).
+	pickHook func(plane int, free []int32, pick int)
 
 	tap      Tap        // timing observations, nil unless telemetry is attached
 	schedTap TapGCSched // tap's optional scheduler extension, cached at SetTap
@@ -173,6 +178,7 @@ func newFTL(p flash.Params) (*FTL, error) {
 	}
 	planes := p.Planes()
 	f.freeBlocks = make([][]int32, planes)
+	f.wear = make([]wearIndex, planes)
 	f.activeBlock = make([]int32, planes)
 	f.gcActive = make([]int32, planes)
 	for pl := 0; pl < planes; pl++ {
@@ -185,6 +191,7 @@ func newFTL(p flash.Params) (*FTL, error) {
 		f.freeBlocks[pl] = blocks
 		f.activeBlock[pl] = -1
 		f.gcActive[pl] = -1
+		f.reindex(pl)
 	}
 	// Visit planes cycling across channels first so that consecutive pages
 	// of a striped batch land on distinct channels.
@@ -209,6 +216,16 @@ func (f *FTL) Params() flash.Params { return f.p }
 
 // Array exposes the underlying flash array (read-only use expected).
 func (f *FTL) Array() *flash.Array { return f.arr }
+
+// PreWear ages the array as flash.Array.PreWear does and re-indexes the
+// free lists, whose least-worn blocks the new erase counts move. Devices
+// are pre-worn through here, never through the array directly.
+func (f *FTL) PreWear(seed uint64, erases, jitter int) {
+	f.arr.PreWear(seed, erases, jitter)
+	for pl := range f.freeBlocks {
+		f.reindex(pl)
+	}
+}
 
 // Timeline exposes the shared timing model.
 func (f *FTL) Timeline() *flash.Timeline { return f.tl }
@@ -400,22 +417,10 @@ func (f *FTL) allocOnPlane(plane, stream int) (int64, bool) {
 		}
 		active := *slot
 		if active < 0 || f.arr.BlockFull(int(active)) {
-			fb := f.freeBlocks[plane]
-			if len(fb) == 0 {
+			if len(f.freeBlocks[plane]) == 0 {
 				return 0, false
 			}
-			pick := len(fb) - 1
-			if f.wearLevel {
-				best := f.arr.EraseCount(int(fb[pick]))
-				for i, b := range fb[:len(fb)-1] {
-					if e := f.arr.EraseCount(int(b)); e < best {
-						best, pick = e, i
-					}
-				}
-			}
-			active = fb[pick]
-			fb[pick] = fb[len(fb)-1]
-			f.freeBlocks[plane] = fb[:len(fb)-1]
+			active = f.takeFree(plane)
 			*slot = active
 		}
 		ppn, err := f.arr.Program(int(active))
@@ -429,6 +434,78 @@ func (f *FTL) allocOnPlane(plane, stream int) (int64, bool) {
 			continue
 		}
 		return 0, false
+	}
+}
+
+// wearIndex locates a plane's least-worn free blocks without scanning the
+// free list: their erase count, how many free blocks share it, and a
+// cursor below which no free-list position holds one.
+type wearIndex struct {
+	min   int
+	count int
+	from  int
+}
+
+// reindex rebuilds a plane's wear index from its free list.
+func (f *FTL) reindex(plane int) {
+	var w wearIndex
+	for i, b := range f.freeBlocks[plane] {
+		switch e := f.arr.EraseCount(int(b)); {
+		case w.count == 0 || e < w.min:
+			w = wearIndex{min: e, count: 1, from: i}
+		case e == w.min:
+			w.count++
+		}
+	}
+	f.wear[plane] = w
+}
+
+// takeFree removes the block to open next from a plane's non-empty free
+// list. With wear leveling that is the least-erased free block: the last
+// one if it is at the minimum, otherwise the first at the minimum in
+// free-list order. Without, it is the last one.
+//
+// Taking the first block at the minimum swaps the last block, which is
+// above the minimum, into its slot, so the cursor only moves forward until
+// the minimum's blocks run out and the index is rebuilt: O(1) amortized.
+func (f *FTL) takeFree(plane int) int32 {
+	fb := f.freeBlocks[plane]
+	pick := len(fb) - 1
+	if f.wearLevel {
+		w := &f.wear[plane]
+		if f.arr.EraseCount(int(fb[pick])) != w.min {
+			pick = w.from
+			for f.arr.EraseCount(int(fb[pick])) != w.min {
+				pick++
+			}
+			w.from = pick + 1
+		}
+		w.count--
+	}
+	if f.pickHook != nil {
+		f.pickHook(plane, fb, pick)
+	}
+	b := fb[pick]
+	fb[pick] = fb[len(fb)-1]
+	f.freeBlocks[plane] = fb[:len(fb)-1]
+	if f.wearLevel && f.wear[plane].count == 0 {
+		f.reindex(plane)
+	}
+	return b
+}
+
+// putFree returns an erased block to its plane's free list.
+func (f *FTL) putFree(plane int, b int32) {
+	fb := f.freeBlocks[plane]
+	f.freeBlocks[plane] = append(fb, b)
+	if !f.wearLevel {
+		return
+	}
+	switch w, e := &f.wear[plane], f.arr.EraseCount(int(b)); {
+	case w.count == 0 || e < w.min:
+		*w = wearIndex{min: e, count: 1, from: len(fb)}
+	case e == w.min:
+		w.count++
 	}
 }
 
@@ -782,7 +859,7 @@ func (f *FTL) gcOnce(now int64, plane int) bool {
 		panic(fmt.Sprintf("ftl: gc erase: %v", err))
 	}
 	eraseDone := f.tl.Erase(now, chip)
-	f.freeBlocks[plane] = append(f.freeBlocks[plane], int32(victim))
+	f.putFree(plane, int32(victim))
 	f.stats.GCRuns++
 	f.stats.GCPauseNs += f.tl.ChipFree(chip) - gcStart
 	if f.tap != nil {

@@ -378,7 +378,7 @@ func (f *FTL) finalizeJob(now int64) bool {
 		// the erase, so no data is at risk.
 		f.retireBlock(j.victim)
 	} else {
-		f.freeBlocks[j.plane] = append(f.freeBlocks[j.plane], int32(j.victim))
+		f.putFree(j.plane, int32(j.victim))
 		f.stats.GCRuns++
 	}
 	pause := f.tl.ChipFree(j.chip) - sliceStart

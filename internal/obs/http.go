@@ -5,7 +5,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 )
 
 // HealthSource supplies live service state for /healthz beyond the
@@ -19,21 +18,12 @@ type HealthSource interface {
 	HealthStatus() (status string, serving bool, queueDepth int64)
 }
 
-// healthSources guards the per-Telemetry health source without growing the
-// Telemetry struct's hot fields; /healthz reads are rare.
-var healthSources sync.Map // *Telemetry → HealthSource
-
 // SetHealthSource attaches a HealthSource consulted by /healthz. Safe to
 // call while the handler is serving; a nil source detaches.
 func (t *Telemetry) SetHealthSource(hs HealthSource) {
-	if t == nil {
-		return
+	if t != nil {
+		t.health.Store(&hs)
 	}
-	if hs == nil {
-		healthSources.Delete(t)
-		return
-	}
-	healthSources.Store(t, hs)
 }
 
 // healthSource returns the attached source, or nil.
@@ -41,28 +31,19 @@ func (t *Telemetry) healthSource() HealthSource {
 	if t == nil {
 		return nil
 	}
-	if hs, ok := healthSources.Load(t); ok {
-		return hs.(HealthSource)
+	if hs := t.health.Load(); hs != nil {
+		return *hs
 	}
 	return nil
 }
-
-// flightRecorders guards the per-Telemetry flight recorder, mirroring the
-// healthSources pattern; /debug/flightrec reads are rare.
-var flightRecorders sync.Map // *Telemetry → *FlightRecorder
 
 // SetFlightRecorder attaches the flight recorder served on
 // /debug/flightrec. Safe to call while the handler is serving; a nil
 // recorder detaches.
 func (t *Telemetry) SetFlightRecorder(fr *FlightRecorder) {
-	if t == nil {
-		return
+	if t != nil {
+		t.flight.Store(fr)
 	}
-	if fr == nil {
-		flightRecorders.Delete(t)
-		return
-	}
-	flightRecorders.Store(t, fr)
 }
 
 // flightRecorder returns the attached recorder, or nil.
@@ -70,10 +51,7 @@ func (t *Telemetry) flightRecorder() *FlightRecorder {
 	if t == nil {
 		return nil
 	}
-	if fr, ok := flightRecorders.Load(t); ok {
-		return fr.(*FlightRecorder)
-	}
-	return nil
+	return t.flight.Load()
 }
 
 // Handler returns the live exposition mux for this Telemetry:

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"sync/atomic"
+
 	"repro/internal/ftl"
 	"repro/internal/sim"
 	"repro/internal/ssd"
@@ -92,6 +94,11 @@ type Telemetry struct {
 	// Shards holds the per-shard instrument sets after ShardObservers has
 	// been called; nil on unsharded runs.
 	Shards []*ShardSet
+
+	// What Handler serves beyond the catalog, attached while it may be
+	// serving: the /healthz source and the /debug/flightrec recorder.
+	health atomic.Pointer[HealthSource]
+	flight atomic.Pointer[FlightRecorder]
 }
 
 var (

@@ -66,3 +66,54 @@ func TestReplayInvariants(t *testing.T) {
 		}
 	}
 }
+
+// quotaCounter counts SHARED-mode quota drains on a stream.
+type quotaCounter struct {
+	sim.NopObserver
+	drains int
+}
+
+func (q *quotaCounter) OnEviction(_ *sim.Engine, ev *sim.EvictionEvent) {
+	if ev.Kind == sim.EvictQuota {
+		q.drains++
+	}
+}
+
+// TestShardedSharedInvariants attaches the watchdog to a SHARED two-shard
+// replay, on each shard's engine and on the merged stream: the quota
+// drains that push borrowed capacity back out must pass its quota rule.
+func TestShardedSharedInvariants(t *testing.T) {
+	merged, quota := &sim.InvariantObserver{}, &quotaCounter{}
+	perShard := []*sim.InvariantObserver{{}, {}}
+	spec := ShardSpec{
+		Shards: 2, Sharing: sim.SharingShared, TotalCapacityPages: 128,
+		NewPolicy: func(_, n int) cache.Policy { return cache.NewLRU(n) },
+		NewDevice: shardTestDevice,
+		ShardObservers: func(k int, _ *sim.Engine) []sim.Observer {
+			return []sim.Observer{perShard[k]}
+		},
+	}
+	tr := twoRegionChurn(1200)
+	var now int64
+	for i := range tr.Requests {
+		// Uneven gaps, so flush backlogs and completions vary.
+		now += 100_000 * int64(1+i%7)
+		tr.Requests[i].Time = now
+	}
+	_, err := RunSharded(tr.Source(), spec, Options{
+		TenantBoundaries:  []int64{256},
+		BackPressureDepth: 2,
+		Observers:         []sim.Observer{merged, quota},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if quota.drains == 0 {
+		t.Fatal("no quota drains: the run does not exercise SHARED pushback")
+	}
+	for i, o := range append(perShard, merged) {
+		if err := o.Err(); err != nil {
+			t.Fatalf("stream %d: %v", i, err)
+		}
+	}
+}

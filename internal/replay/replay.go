@@ -326,9 +326,13 @@ func Run(tr *trace.Trace, pol cache.Policy, dev *ssd.Device, opts Options) (*Met
 }
 
 // RunSource replays a streaming source against a policy and device in
-// O(cache) memory: requests are consumed one at a time and never retained,
-// so a multi-hundred-MB trace file replays without being materialized.
-// Metrics are bit-identical to Run over the same request sequence.
+// O(cache) memory: requests are consumed in small batches and never
+// retained, so a multi-hundred-MB trace file replays without being
+// materialized. The source is pulled on its own goroutine
+// (trace.ReadAhead), so parsing overlaps the simulation; RunSource joins
+// that goroutine before it returns, on every path, and only then may the
+// caller touch the source again. Metrics are bit-identical to Run over
+// the same request sequence.
 func RunSource(src trace.Source, pol cache.Policy, dev *ssd.Device, opts Options) (*Metrics, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -356,7 +360,9 @@ func RunSource(src trace.Source, pol cache.Policy, dev *ssd.Device, opts Options
 	if opts.GCBudgetNs > 0 && !dev.GCSchedEnabled() {
 		dev.EnableGCScheduler(ftl.GCSchedConfig{Enabled: true})
 	}
-	eng := sim.New(src, pol, dev, sim.Config{
+	ahead := trace.NewReadAhead(src)
+	defer ahead.Close()
+	eng := sim.New(ahead, pol, dev, sim.Config{
 		WarmupRequests: opts.WarmupRequests,
 		IdleFlushNs:    opts.IdleFlushNs,
 		IdleGC:         opts.IdleGC,

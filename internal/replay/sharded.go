@@ -219,6 +219,7 @@ func aggregateShardDevices(m *Metrics, devs []*ssd.Device, done sim.DoneEvent, d
 		m.Device.FlashReads += c.FlashReads
 		m.Device.GCMigrations += c.GCMigrations
 		m.Device.GCRuns += c.GCRuns
+		m.Device.GCPauseNs += c.GCPauseNs
 		m.Device.Erases += c.Erases
 		m.Device.ProgramRetries += c.ProgramRetries
 		m.Device.RetiredBlocks += c.RetiredBlocks

@@ -338,3 +338,63 @@ func TestBackPressureAdmission(t *testing.T) {
 			tight.Device.FlashWrites, base.Device.FlashWrites)
 	}
 }
+
+// TestShardedDeviceCountersSumShards reflects over ssd.Counters: each
+// field of a two-shard, GC-bound, fault-injected run's Metrics.Device
+// must equal that field summed over the shards' devices, so a counter the
+// aggregation forgets fails here instead of reading 0. The run must
+// exercise every counter but DegradedEntries, or the sums prove nothing.
+func TestShardedDeviceCountersSumShards(t *testing.T) {
+	var devs []*ssd.Device
+	spec := ShardSpec{
+		Shards: 2, Sharing: sim.SharingShared, TotalCapacityPages: 128,
+		NewPolicy: func(_, n int) cache.Policy { return cache.NewLRU(n) },
+		NewDevice: func(k int) (*ssd.Device, error) {
+			p := ssd.DefaultParams()
+			p.Flash.Channels = 2
+			p.Flash.ChipsPerChannel = 2
+			p.Flash.BlocksPerPlane = 16
+			p.Flash.PagesPerBlock = 8
+			p.Flash.OverProvision = 0.25
+			p.Flash.GCThreshold = 0.25
+			p.Precondition = 0.5
+			p.Faults = fault.Config{
+				Seed: uint64(k) + 1, ProgramFailProb: 0.003, EraseFailProb: 0.01, GrownBadProb: 0.01,
+				ReserveBlocks: 1000, CheckInvariants: true,
+			}
+			dev, err := ssd.New(p)
+			devs = append(devs, dev)
+			return dev, err
+		},
+	}
+	tr := twoRegionChurn(1600)
+	for i := range tr.Requests {
+		if i%4 == 3 {
+			tr.Requests[i].Write = false
+		}
+	}
+	m, err := RunSharded(tr.Source(), spec, Options{TenantBoundaries: []int64{256}, BackPressureDepth: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(devs) != 2 {
+		t.Fatalf("%d devices built, want 2", len(devs))
+	}
+	got := reflect.ValueOf(m.Device)
+	for i := 0; i < got.NumField(); i++ {
+		name := got.Type().Field(i).Name
+		if got.Field(i).Kind() != reflect.Int64 {
+			t.Fatalf("ssd.Counters.%s is %s: extend this test to aggregate it", name, got.Field(i).Kind())
+		}
+		var sum int64
+		for _, dev := range devs {
+			sum += reflect.ValueOf(dev.Counters()).Field(i).Int()
+		}
+		if g := got.Field(i).Int(); g != sum {
+			t.Errorf("Device.%s = %d, want %d summed over the shards", name, g, sum)
+		}
+		if sum == 0 && name != "DegradedEntries" {
+			t.Errorf("Device.%s is 0 on every shard: the run does not exercise it", name)
+		}
+	}
+}

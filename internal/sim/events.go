@@ -63,6 +63,9 @@ const (
 	// EvictQuota is a batch drained because the cache exceeded its soft
 	// quota (Config.SoftQuotaPages — SHARED-mode sharding pushback).
 	EvictQuota
+
+	// evictionKinds counts the kinds above; per-kind tables size by it.
+	evictionKinds
 )
 
 // String names the stage for logs and trace spans.

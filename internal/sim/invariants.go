@@ -15,6 +15,12 @@ import "fmt"
 //     destage stages dispatch them at non-decreasing times (idle flushes
 //     are exempt: their dispatch is stamped with device frame-free times,
 //     which may step back across idle windows);
+//   - quota drains, which run when the request that overfilled the cache
+//     completes, are dispatched at the completion time of the result just
+//     before them (completions step back, so the non-decreasing rule does
+//     not apply to them);
+//   - a batch that reports its device timing is durable no earlier than
+//     transferred;
 //   - the final DoneEvent's processed count matches the results seen.
 //
 // The first violation is captured and kept (later events are still
@@ -26,12 +32,13 @@ type InvariantObserver struct {
 
 	err error
 
-	started      bool
-	lastArrival  int64
-	lastEviction [4]int64 // per EvictionKind, dispatch-time high-water mark
-	haveEviction [4]bool
-	results      int
-	done         bool
+	started        bool
+	lastArrival    int64
+	lastEviction   [evictionKinds]int64 // per EvictionKind, dispatch-time high-water mark
+	haveEviction   [evictionKinds]bool
+	lastCompletion int64 // of the latest result, for quota drains
+	results        int
+	done           bool
 }
 
 // fail records the first violation.
@@ -67,11 +74,15 @@ func (o *InvariantObserver) OnEviction(e *Engine, ev *EvictionEvent) {
 		o.fail("empty %s eviction batch at %d", ev.Kind, ev.Time)
 	}
 	k := int(ev.Kind)
-	if k >= len(o.lastEviction) {
+	switch {
+	case k >= len(o.lastEviction):
 		o.fail("unknown eviction kind %d", k)
 		return
-	}
-	if ev.Kind != EvictIdle {
+	case ev.Kind == EvictQuota:
+		if o.results == 0 || ev.Time != o.lastCompletion {
+			o.fail("quota eviction at %d, not at the completion %d of the result before it", ev.Time, o.lastCompletion)
+		}
+	case ev.Kind != EvictIdle:
 		if o.haveEviction[k] && ev.Time < o.lastEviction[k] {
 			o.fail("%s eviction at %d before previous one at %d", ev.Kind, ev.Time, o.lastEviction[k])
 		}
@@ -87,6 +98,7 @@ func (o *InvariantObserver) OnResult(e *Engine, ev *ResultEvent) {
 	if ev.Completion < ev.Req.Issue {
 		o.fail("request %d completes at %d before its issue %d", ev.Req.Index, ev.Completion, ev.Req.Issue)
 	}
+	o.lastCompletion = ev.Completion
 	o.results++
 	if ev.Processed != o.results {
 		o.fail("processed counter %d after %d results", ev.Processed, o.results)

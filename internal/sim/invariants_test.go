@@ -61,6 +61,24 @@ func TestInvariantObserverViolations(t *testing.T) {
 			o.OnEviction(nil, &EvictionEvent{Kind: EvictDestage, Time: 100, LPNs: []int64{1}})
 			o.OnEviction(nil, &EvictionEvent{Kind: EvictDestage, Time: 90, LPNs: []int64{2}})
 		}},
+		{"quota drain off its completion", "not at the completion 120", func(o *InvariantObserver, req *RequestEvent) {
+			o.OnResult(nil, &ResultEvent{Req: req, Res: &cache.Result{Misses: 1}, Completion: 120, Processed: 1})
+			o.OnEviction(nil, &EvictionEvent{Kind: EvictQuota, Time: 119, LPNs: []int64{1}})
+		}},
+		{"quota drain before any result", "not at the completion", func(o *InvariantObserver, _ *RequestEvent) {
+			o.OnEviction(nil, &EvictionEvent{Kind: EvictQuota, Time: 0, LPNs: []int64{1}})
+		}},
+		{"empty quota drain", "empty quota", func(o *InvariantObserver, req *RequestEvent) {
+			o.OnResult(nil, &ResultEvent{Req: req, Res: &cache.Result{Misses: 1}, Completion: 120, Processed: 1})
+			o.OnEviction(nil, &EvictionEvent{Kind: EvictQuota, Time: 120})
+		}},
+		{"quota drain durable before transferred", "durable at 130 before transfer", func(o *InvariantObserver, req *RequestEvent) {
+			o.OnResult(nil, &ResultEvent{Req: req, Res: &cache.Result{Misses: 1}, Completion: 120, Processed: 1})
+			o.OnEviction(nil, &EvictionEvent{Kind: EvictQuota, Time: 120, LPNs: []int64{1}, Transferred: 140, Durable: 130})
+		}},
+		{"unknown eviction kind", "unknown eviction kind", func(o *InvariantObserver, _ *RequestEvent) {
+			o.OnEviction(nil, &EvictionEvent{Kind: evictionKinds, Time: 100, LPNs: []int64{1}})
+		}},
 		{"done count mismatch", "saw 1 results", func(o *InvariantObserver, req *RequestEvent) {
 			o.OnResult(nil, &ResultEvent{Req: req, Res: &cache.Result{Misses: 1}, Completion: 100, Processed: 1})
 			o.OnDone(nil, &DoneEvent{Processed: 5})
@@ -100,5 +118,24 @@ func TestInvariantObserverKeepsFirstError(t *testing.T) {
 	o2.OnEviction(nil, &EvictionEvent{Kind: EvictIdle, Time: 50, LPNs: []int64{2}})
 	if err := o2.Err(); err != nil {
 		t.Fatalf("idle flushes wrongly held to monotonic dispatch: %v", err)
+	}
+}
+
+// TestInvariantObserverQuotaDrainsFollowCompletions feeds quota drains
+// the way the engine emits them: each right after the result of the
+// request that overfilled the cache, at its completion time, which may
+// lie before an earlier request's completion.
+func TestInvariantObserverQuotaDrainsFollowCompletions(t *testing.T) {
+	o := &InvariantObserver{}
+	for i, completion := range []int64{500, 300} {
+		req := &RequestEvent{Index: i, Arrival: int64(i) * 100, Issue: int64(i) * 100, Write: true, Pages: 1}
+		o.OnRequest(nil, req)
+		o.OnResult(nil, &ResultEvent{Req: req, Res: &cache.Result{Misses: 1}, Completion: completion, Processed: i + 1})
+		for b := 0; b < 2; b++ {
+			o.OnEviction(nil, &EvictionEvent{Kind: EvictQuota, Time: completion, LPNs: []int64{int64(b)}, Transferred: completion + 10, Durable: completion + 20})
+		}
+	}
+	if err := o.Err(); err != nil {
+		t.Fatalf("well-formed quota drains flagged: %v", err)
 	}
 }

@@ -10,7 +10,8 @@ func TestDeviceGeometryAccessors(t *testing.T) {
 	if d.PageSize() != 4096 {
 		t.Fatalf("PageSize = %d", d.PageSize())
 	}
-	wantLogical := tinyParams().Flash.LogicalPages()
+	fp := tinyParams().Flash
+	wantLogical := fp.LogicalPages()
 	if d.LogicalPages() != wantLogical {
 		t.Fatalf("LogicalPages = %d, want %d", d.LogicalPages(), wantLogical)
 	}

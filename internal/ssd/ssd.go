@@ -147,7 +147,7 @@ func New(p Params) (*Device, error) {
 		// Aged-device seeding happens before the injector attaches, so the
 		// wear history exists from the first replay operation but consumes
 		// no fault-stream draws.
-		f.Array().PreWear(p.Faults.Seed, p.Faults.PrewornErases, p.Faults.PrewornJitter)
+		f.PreWear(p.Faults.Seed, p.Faults.PrewornErases, p.Faults.PrewornJitter)
 		d.inj = inj
 		f.EnableFaults(inj)
 		if p.Faults.CheckInvariants {
