@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all check fmt-check test race test-race race-sharded fuzz-smoke ssdcheck-quick ssdcheck-nightly soak-serve soak-gc obs-smoke perfbench-smoke bench bench-smoke bench-json bench-sharded bench-capacity bench-capacity-smoke bench-gc experiments experiments-full lint
+.PHONY: all check fmt-check test race test-race race-sharded loc fuzz-smoke ssdcheck-quick ssdcheck-nightly soak-serve soak-gc obs-smoke perfbench-smoke bench bench-smoke bench-json bench-sharded bench-capacity bench-capacity-smoke bench-gc experiments experiments-full lint
 
 all: test
 
@@ -27,12 +27,23 @@ race:
 test-race: race
 
 # race-sharded soaks the concurrent code specifically under the race
-# detector: the splitter/shard/merger pipeline plus the service front-end
+# detector: the splitter/shard/merger pipeline (with its one-shard anchor
+# against the direct path in internal/sim) plus the service front-end
 # (admission queues, window waits, drain) get their own longer pass
 # beyond `race`.
 race-sharded:
-	go test -race -run 'Sharded|ShardTelemetry' ./internal/replay ./internal/obs .
+	go test -race -run 'Sharded|ShardTelemetry' ./internal/replay ./internal/sim ./internal/obs .
 	go test -race -count=1 ./internal/serve ./internal/load
+
+# loc prints the non-test Go lines of every package, then the total: the
+# per-package size ledger deletions are measured against. perfbench is a
+# separate module and is not counted.
+loc:
+	@go list -f '{{.ImportPath}} {{.Dir}} {{join .GoFiles " "}}' ./... | \
+		while read -r pkg dir files; do \
+			[ -n "$$files" ] || continue; \
+			printf '%6d %s\n' "$$(cd "$$dir" && cat $$files | wc -l)" "$$pkg"; \
+		done | awk '{ print; total += $$1 } END { printf "%6d total\n", total }'
 
 # soak-serve is the CI open-loop saturation soak: ssdload's generator
 # drives an in-process ssdserve through a ramp crossing saturation for

@@ -42,7 +42,6 @@ var capacityPolicies = []struct {
 }{
 	{"fab", func(n int) cache.Policy { return cache.NewFAB(n, 64) }},
 	{"lfu", func(n int) cache.Policy { return cache.NewLFU(n) }},
-	{"vbbms", func(n int) cache.Policy { return cache.NewVBBMS(n) }},
 	{"pud-lru", func(n int) cache.Policy { return cache.NewPUDLRU(n, 64) }},
 }
 
@@ -60,15 +59,11 @@ func BenchmarkCapacityEviction(b *testing.B) {
 
 func benchCapacityEviction(b *testing.B, mk func(int) cache.Policy, capPages int, linear bool) {
 	pol := mk(capPages)
-	// Defaults differ per policy (VBBMS ships linear, the rest indexed),
-	// so both modes set the selector explicitly.
 	pol.(cache.LinearScanSelector).SetLinearVictimScan(linear)
 	// Fill to capacity with distinct sequential pages delivered as a 3:2
-	// interleave of 4-page and 8-page requests: split-region policies
-	// (VBBMS routes requests of >= 5 pages to its sequential region, which
-	// owns 2/5 of capacity) fill both regions this way, while single-region
-	// policies fill exactly. Region-boundary rounding may evict a handful
-	// of pages, so the check is a 95% floor rather than equality.
+	// interleave of 4-page and 8-page requests. Block-grouping policies
+	// may evict a handful of pages on the way, so the check is a 95% floor
+	// rather than equality.
 	now := int64(0)
 	written := int64(0)
 	fillSizes := [...]int{4, 4, 4, 8}
@@ -85,8 +80,7 @@ func benchCapacityEviction(b *testing.B, mk func(int) cache.Policy, capPages int
 		b.Fatalf("fill reached %d of %d pages", pol.Len(), capPages)
 	}
 	// Steady state: random writes over twice the capacity, so roughly
-	// every other request misses and most misses evict. Sizes span 1..8 so
-	// both request classes occur and VBBMS churns both of its regions.
+	// every other request misses and most misses evict. Sizes span 1..8.
 	lpnRange := uint64(capPages) * 2
 	rng := newSplitMix(uint64(capPages)*2654435761 + 1)
 	var pages, evictions, evictNs int64

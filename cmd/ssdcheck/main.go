@@ -7,8 +7,8 @@
 //
 // A second differential mode, -vindex, replays the SAME fast policy
 // against itself: indexed (heap-backed) victim selection versus the
-// paper-literal linear reference scan, across the four policies with a
-// switchable scan (fab, lfu, vbbms, pud-lru). A third, -gcsched, replays
+// paper-literal linear reference scan, across the three policies with a
+// switchable scan (fab, lfu, pud-lru). A third, -gcsched, replays
 // a greedy-GC FTL, a scheduler-enabled FTL driven by seed-derived idle
 // budgets, and the stamped oracle FTL in lockstep across four stream
 // flavors (striped, bound, mixed, trim-mix). -quick runs all three.

@@ -162,20 +162,50 @@ func main() {
 	}
 	opts.Observers = observers
 
-	var (
-		m       *replay.Metrics
-		skipped int
-		dev     *ssd.Device
-	)
-	newPolicy := func(capacityPages int) cache.Policy {
-		p, err := buildPolicy(*policy, capacityPages, params.Flash.PagesPerBlock, params.Flash.Channels, *delta)
-		if err != nil {
-			fail(err)
-		}
-		if *readahead > 0 {
-			p = cache.NewReadAhead(p, *readahead, 8)
-		}
-		return p
+	// Each shard owns a policy slice and its own device; with more than one,
+	// events re-merge deterministically (docs/ARCHITECTURE.md). One shard is
+	// the bare engine: it also feeds policy list transitions to the span
+	// tracer and reports the device's fault op totals.
+	var dev *ssd.Device
+	telHook := func(int, *sim.Engine) []sim.Observer { return nil }
+	if *shards > 1 {
+		telHook = tel.ShardObservers(*shards)
+	}
+	spec := replay.ShardSpec{
+		Shards:             *shards,
+		Sharing:            smode,
+		TotalCapacityPages: *cacheMB * 256,
+		NewPolicy: func(_, capPages int) cache.Policy {
+			p, err := buildPolicy(*policy, capPages, params.Flash.PagesPerBlock, params.Flash.Channels, *delta)
+			if err != nil {
+				fail(err)
+			}
+			if *readahead > 0 {
+				p = cache.NewReadAhead(p, *readahead, 8)
+			}
+			if src, ok := p.(cache.TransitionSource); ok && tracer != nil && *shards == 1 {
+				src.SetTransitionSink(tracer)
+			}
+			return p
+		},
+		NewDevice: func(k int) (*ssd.Device, error) {
+			d, err := ssd.New(params)
+			if err == nil {
+				d.SetTap(obs.MultiTap(tel, fr.Tap(k)))
+				if *shards == 1 {
+					dev = d
+				}
+			}
+			return d, err
+		},
+		TenantRegionPages: *tenantRegion,
+		ShardObservers: func(k int, eng *sim.Engine) []sim.Observer {
+			o := telHook(k, eng)
+			if fr != nil {
+				o = append(o, fr.Observer(k))
+			}
+			return o
+		},
 	}
 	// An MSR trace file streams through the replay in constant memory: the
 	// scanner hands requests to the engine one at a time, so trace size no
@@ -183,102 +213,36 @@ func main() {
 	// materialized path because the Fig. 2/3 small/large threshold derives
 	// from the whole trace; SPC files and built-in workloads are
 	// materialized by construction.
-	streaming := *traceFile != "" && *wl == "" && *format == "msr" && !*verbose
-	if *shards > 1 {
-		// Sharded replay: each shard owns a policy slice and its own
-		// device; events re-merge deterministically (docs/ARCHITECTURE.md).
-		// Request-span tracing works on the merged stream, but per-policy
-		// transition sinks stay single-engine only.
-		telHook := tel.ShardObservers(*shards)
-		spec := replay.ShardSpec{
-			Shards:             *shards,
-			Sharing:            smode,
-			TotalCapacityPages: *cacheMB * 256,
-			NewPolicy:          func(_, capPages int) cache.Policy { return newPolicy(capPages) },
-			NewDevice: func(k int) (*ssd.Device, error) {
-				d, err := ssd.New(params)
-				if err == nil {
-					d.SetTap(obs.MultiTap(tel, fr.Tap(k)))
-				}
-				return d, err
-			},
-			TenantRegionPages: *tenantRegion,
-			ShardObservers: func(k int, eng *sim.Engine) []sim.Observer {
-				o := telHook(k, eng)
-				if fr != nil {
-					o = append(o, fr.Observer(k))
-				}
-				return o
-			},
-		}
-		if streaming {
-			f, err := os.Open(*traceFile)
-			if err != nil {
-				fail(err)
-			}
-			defer f.Close()
-			if err := profiles.Start(); err != nil {
-				fail(err)
-			}
-			sc := trace.ScanMSRWith(f, *traceFile, trace.MSROptions{MaxSkipped: *maxSkip})
-			if m, err = replay.RunSharded(sc, spec, opts); err != nil {
-				fail(err)
-			}
-			skipped = sc.SkippedLines()
-		} else {
-			tr, err := loadTrace(*traceFile, *format, *blockSize, *wl, *scale, *maxSkip)
-			if err != nil {
-				fail(err)
-			}
-			if err := profiles.Start(); err != nil {
-				fail(err)
-			}
-			if m, err = replay.RunShardedTrace(tr, int64(params.Flash.PageSize), spec, opts); err != nil {
-				fail(err)
-			}
-			skipped = tr.SkippedLines
-		}
-	} else {
-		if dev, err = ssd.New(params); err != nil {
+	var (
+		m       *replay.Metrics
+		skipped int
+	)
+	if *traceFile != "" && *wl == "" && *format == "msr" && !*verbose {
+		f, err := os.Open(*traceFile)
+		if err != nil {
 			fail(err)
 		}
-		dev.SetTap(obs.MultiTap(tel, fr.Tap(0)))
-		if fr != nil {
-			opts.Observers = append(opts.Observers, fr.Observer(0))
+		defer f.Close()
+		if err := profiles.Start(); err != nil {
+			fail(err)
 		}
-		pol := newPolicy(*cacheMB * 256)
-		if tracer != nil {
-			if src, ok := pol.(cache.TransitionSource); ok {
-				src.SetTransitionSink(tracer)
-			}
+		sc := trace.ScanMSRWith(f, *traceFile, trace.MSROptions{MaxSkipped: *maxSkip})
+		if m, err = replay.RunSharded(sc, spec, opts); err != nil {
+			fail(err)
 		}
-		if streaming {
-			f, err := os.Open(*traceFile)
-			if err != nil {
-				fail(err)
-			}
-			defer f.Close()
-			if err := profiles.Start(); err != nil {
-				fail(err)
-			}
-			sc := trace.ScanMSRWith(f, *traceFile, trace.MSROptions{MaxSkipped: *maxSkip})
-			if m, err = replay.RunSource(sc, pol, dev, opts); err != nil {
-				fail(err)
-			}
-			skipped = sc.SkippedLines()
-		} else {
-			tr, err := loadTrace(*traceFile, *format, *blockSize, *wl, *scale, *maxSkip)
-			if err != nil {
-				fail(err)
-			}
-			if err := profiles.Start(); err != nil {
-				fail(err)
-			}
-			if m, err = replay.Run(tr, pol, dev, opts); err != nil {
-				fail(err)
-			}
-			skipped = tr.SkippedLines
+		skipped = sc.SkippedLines()
+	} else {
+		tr, err := loadTrace(*traceFile, *format, *blockSize, *wl, *scale, *maxSkip)
+		if err != nil {
+			fail(err)
 		}
+		if err := profiles.Start(); err != nil {
+			fail(err)
+		}
+		if m, err = replay.RunShardedTrace(tr, int64(params.Flash.PageSize), spec, opts); err != nil {
+			fail(err)
+		}
+		skipped = tr.SkippedLines
 	}
 	if err := profiles.Stop(); err != nil {
 		fmt.Fprintln(os.Stderr, "ssdreplay:", err)

@@ -94,7 +94,6 @@ func TestLinearScanSteadyStateAllocs(t *testing.T) {
 	}{
 		{"FAB", NewFAB(1024, 64)},
 		{"LFU", NewLFU(1024)},
-		{"VBBMS", NewVBBMS(1024)},
 		{"PUD-LRU", NewPUDLRU(1024, 64)},
 	}
 	for _, tc := range cases {

@@ -1,20 +1,12 @@
 package cache
 
-import (
-	"repro/internal/list"
-	"repro/internal/vindex"
-)
+import "repro/internal/list"
 
 // vbbmsBlock is one virtual block: an aligned group of consecutive pages in
-// one of the two regions. seq is the block's recency rank — re-stamped on
-// every promotion in the LRU region, insertion-only in the FIFO region —
-// so the region's victim (its order-list tail) is exactly the minimum-seq
-// block, which is what the victim index stores.
+// one of the two regions.
 type vbbmsBlock struct {
 	vbID  int64
 	pages pageSet
-	seq   uint64
-	hd    vindex.Handle[*list.Node[*vbbmsBlock]]
 }
 
 // vbbmsRegion is one of VBBMS's two sub-caches.
@@ -26,8 +18,6 @@ type vbbmsRegion struct {
 	blocks    map[int64]*list.Node[*vbbmsBlock]
 	order     list.List[*vbbmsBlock]
 	free      []*list.Node[*vbbmsBlock] // recycled virtual-block nodes
-	heap      vindex.Heap[*list.Node[*vbbmsBlock]]
-	seq       uint64
 }
 
 // VBBMS is the virtual-block buffer management strategy of Du et al.
@@ -35,7 +25,8 @@ type vbbmsRegion struct {
 // into a random-request region and a sequential-request region; virtual
 // blocks are 3 pages in the random region (managed by LRU) and 4 pages in
 // the sequential region (managed by FIFO). Evictions flush one virtual
-// block, striped across channels.
+// block, striped across channels. The victim is always the region's
+// order-list tail, so victim selection is an O(1) pop.
 type VBBMS struct {
 	capacity   int
 	seqMin     int // requests with at least this many pages are sequential
@@ -46,7 +37,6 @@ type VBBMS struct {
 	home map[int64]*vbbmsRegion
 	buf  ResultBuffers
 
-	linear   bool
 	scanCost int64
 }
 
@@ -78,11 +68,6 @@ func NewVBBMSConfig(capacityPages, randomShare, seqShare, randVB, seqVB, seqMin 
 	return &VBBMS{
 		capacity: capacityPages,
 		seqMin:   seqMin,
-		// VBBMS's victim is always the region's order-list tail, so the
-		// linear "scan" is an O(1) tail pop — the default. The heap index
-		// stays selectable (SetLinearVictimScan(false)) for the oracle's
-		// indexed-vs-linear equivalence check, but buys nothing here.
-		linear: true,
 		random: vbbmsRegion{
 			capacity: randCap,
 			vbSize:   int64(randVB),
@@ -103,19 +88,10 @@ var (
 	_ Policy             = (*VBBMS)(nil)
 	_ OccupancySampler   = (*VBBMS)(nil)
 	_ VictimScanReporter = (*VBBMS)(nil)
-	_ LinearScanSelector = (*VBBMS)(nil)
 )
 
-// VictimScanCost implements VictimScanReporter.
+// VictimScanCost implements VictimScanReporter: one step per tail pop.
 func (c *VBBMS) VictimScanCost() int64 { return c.scanCost }
-
-// SetLinearVictimScan implements LinearScanSelector.
-func (c *VBBMS) SetLinearVictimScan(enable bool) {
-	if c.Len() > 0 {
-		panic("cache: VBBMS victim-scan mode must be set before use")
-	}
-	c.linear = enable
-}
 
 // Name implements Policy.
 func (c *VBBMS) Name() string { return "VBBMS" }
@@ -193,11 +169,6 @@ func (c *VBBMS) touch(r *vbbmsRegion, lpn int64) {
 	}
 	if n, ok := r.blocks[lpn/r.vbSize]; ok {
 		r.order.MoveToHead(n)
-		if !c.linear {
-			r.seq++
-			n.Value.seq = r.seq
-			n.Value.hd = r.heap.Update(n.Value.hd, int64(r.seq), 0, n)
-		}
 	}
 }
 
@@ -216,12 +187,6 @@ func (c *VBBMS) insert(r *vbbmsRegion, lpn int64) {
 		vb := n.Value
 		vb.vbID = vbID
 		vb.pages.reset(vbID*r.vbSize, r.vbSize)
-		r.seq++
-		vb.seq = r.seq
-		vb.hd = vindex.Handle[*list.Node[*vbbmsBlock]]{}
-		if !c.linear {
-			vb.hd = r.heap.Push(int64(vb.seq), 0, n)
-		}
 		r.order.PushHead(n)
 		r.blocks[vbID] = n
 	}
@@ -230,22 +195,10 @@ func (c *VBBMS) insert(r *vbbmsRegion, lpn int64) {
 }
 
 // evictFrom flushes the region's tail virtual block (LRU victim in the
-// random region, oldest in the sequential region). The indexed path pops
-// the minimum recency rank, which is the same block.
+// random region, oldest in the sequential region).
 func (c *VBBMS) evictFrom(r *vbbmsRegion) Eviction {
-	var n *list.Node[*vbbmsBlock]
-	if c.linear {
-		c.scanCost++
-		n = r.order.PopTail()
-	} else {
-		before := r.heap.Cost()
-		v, ok := r.heap.PopMin()
-		c.scanCost += r.heap.Cost() - before
-		if ok {
-			n = v
-			r.order.Remove(n)
-		}
-	}
+	c.scanCost++
+	n := r.order.PopTail()
 	if n == nil {
 		panic("cache: VBBMS evict on empty region")
 	}

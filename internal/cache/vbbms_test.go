@@ -118,39 +118,18 @@ func TestVBBMSNodeAccounting(t *testing.T) {
 	}
 }
 
-// The linear tail-pop is VBBMS's default victim scan: its victim is the
-// region order-list tail either way, so the heap index adds bookkeeping
-// without changing a single decision. This pin keeps the default from
-// silently flipping back to indexed.
-func TestVBBMSDefaultsToLinearVictimScan(t *testing.T) {
+// VBBMS's victim is its region's order-list tail, so selecting one is an
+// O(1) pop: one scan step per flushed virtual block.
+func TestVBBMSTailPopScanCost(t *testing.T) {
 	c := NewVBBMS(20)
-	if !c.linear {
-		t.Fatal("NewVBBMS should default to the linear (tail-pop) victim scan")
-	}
-	// One eviction through the default path charges exactly one scan step
-	// per flushed virtual block — the O(1) pop, not a heap traversal.
 	evictions := 0
 	for i := int64(0); i < 16; i++ { // overfills the 12-page random region
 		evictions += len(c.Access(w(i, i, 1)).Evictions)
 	}
 	if evictions == 0 {
-		t.Fatal("no eviction reached the linear scan path")
+		t.Fatal("no eviction reached the victim pop")
 	}
 	if got, want := c.VictimScanCost(), int64(evictions); got != want {
-		t.Fatalf("linear scan cost = %d, want %d (one tail pop per eviction)", got, want)
+		t.Fatalf("scan cost = %d, want %d (one tail pop per eviction)", got, want)
 	}
-
-	// The heap index stays selectable on a fresh instance…
-	c2 := NewVBBMS(20)
-	c2.SetLinearVictimScan(false)
-	if c2.linear {
-		t.Fatal("SetLinearVictimScan(false) should select the heap index")
-	}
-	// …but not after the cache has been used.
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetLinearVictimScan after use should panic")
-		}
-	}()
-	c.SetLinearVictimScan(false)
 }

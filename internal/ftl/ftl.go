@@ -775,7 +775,9 @@ func (f *FTL) maybeGC(now int64, plane int) int64 {
 
 // gcOnce selects the victim block with the fewest valid pages on the plane
 // (greedy policy), migrates its valid pages via in-chip copyback into the
-// plane's active block, erases it, and returns it to the free list.
+// plane's active block, erases it, and returns it to the free list. A full
+// frontier block is a candidate like any other full block: a plane whose
+// free blocks are gone may have nothing else to reclaim.
 //
 // When the victim's erase fails (injected erase failure or grown-bad
 // detection), the block is retired instead of freed and gcOnce still
@@ -786,8 +788,8 @@ func (f *FTL) gcOnce(now int64, plane int) bool {
 	victim := -1
 	best := f.p.PagesPerBlock + 1
 	for b := first; b < first+f.p.BlocksPerPlane; b++ {
-		if int32(b) == f.activeBlock[plane] || int32(b) == f.gcActive[plane] || !f.arr.BlockFull(b) {
-			continue // skip the active frontier and still-open blocks
+		if !f.arr.BlockFull(b) {
+			continue // still-open blocks keep accepting programs
 		}
 		if f.arr.IsBad(b) {
 			continue // retired blocks are out of circulation
@@ -841,6 +843,14 @@ func (f *FTL) gcOnce(now int64, plane int) bool {
 		}
 		f.stats.GCMigrations++
 		moved++
+	}
+	// A frontier victim stops being the plane's open block before its
+	// erase, whether the block returns to the free list or retires.
+	if f.activeBlock[plane] == int32(victim) {
+		f.activeBlock[plane] = -1
+	}
+	if f.gcActive[plane] == int32(victim) {
+		f.gcActive[plane] = -1
 	}
 	if err := f.arr.Erase(victim); err != nil {
 		if errors.Is(err, fault.ErrEraseFail) || errors.Is(err, fault.ErrGrownBad) {

@@ -212,39 +212,57 @@ func TestGCReclaimsSpace(t *testing.T) {
 	}
 }
 
+// placementWorkload drives a seeded random mix of striped and block-bound
+// writes through the 8-block tinyParams device and returns the first
+// error: a failed write or a broken invariant.
+func placementWorkload(seed int64) error {
+	rng := rand.New(rand.NewSource(seed))
+	ftl, err := New(tinyParams())
+	if err != nil {
+		return err
+	}
+	logical := ftl.LogicalPages()
+	now := int64(0)
+	for i := 0; i < 300; i++ {
+		now += int64(rng.Intn(1000))
+		n := 1 + rng.Intn(6)
+		lpns := make([]int64, n)
+		base := rng.Int63n(logical)
+		for j := range lpns {
+			lpns[j] = (base + int64(j)) % logical
+		}
+		if rng.Intn(4) == 0 {
+			if _, err := ftl.WriteBlockBound(now, lpns); err != nil {
+				return err
+			}
+		} else {
+			if _, err := ftl.WriteStriped(now, lpns); err != nil {
+				return err
+			}
+		}
+	}
+	return ftl.CheckInvariants()
+}
+
 func TestGCPreservesDataPlacementConsistency(t *testing.T) {
 	// Property: after arbitrary write workloads, every plane keeps at
 	// least one free or active block, and invariants hold.
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		ftl, err := New(tinyParams())
-		if err != nil {
-			return false
-		}
-		logical := ftl.LogicalPages()
-		now := int64(0)
-		for i := 0; i < 300; i++ {
-			now += int64(rng.Intn(1000))
-			n := 1 + rng.Intn(6)
-			lpns := make([]int64, n)
-			base := rng.Int63n(logical)
-			for j := range lpns {
-				lpns[j] = (base + int64(j)) % logical
-			}
-			if rng.Intn(4) == 0 {
-				if _, err := ftl.WriteBlockBound(now, lpns); err != nil {
-					return false
-				}
-			} else {
-				if _, err := ftl.WriteStriped(now, lpns); err != nil {
-					return false
-				}
-			}
-		}
-		return ftl.CheckInvariants() == nil
-	}
+	f := func(seed int64) bool { return placementWorkload(seed) == nil }
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGCCollectsFullFrontierBlocks replays the seeds that once ran every
+// plane out of free blocks: each plane held a full frontier block (often
+// its GC-stream block with no valid page left), which GC skipped as
+// "active", so nothing could be reclaimed. A full frontier is a victim
+// like any other full block.
+func TestGCCollectsFullFrontierBlocks(t *testing.T) {
+	for _, seed := range []int64{4800, 6233, 6690, 6878, 7052, 7147, 9820, 16545, 19055, 19188, 19598} {
+		if err := placementWorkload(seed); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+		}
 	}
 }
 

@@ -11,8 +11,8 @@ type CampaignConfig struct {
 	// Mode selects the differential per run: empty for fast-vs-oracle,
 	// ModeVindex for indexed-vs-linear victim selection.
 	Mode string
-	// Policies defaults to all four paper policies (classic mode) or all
-	// four VictimPolicies (ModeVindex).
+	// Policies defaults to all four paper policies (classic mode) or every
+	// VictimPolicies entry (ModeVindex).
 	Policies []string
 	// Requests is the workload length per run (default 192).
 	Requests int

@@ -19,8 +19,6 @@ import (
 func runVindex(spec Spec) *Divergence {
 	idx := buildVindexPolicy(&spec)
 	lin := buildVindexPolicy(&spec)
-	// Both modes are forced explicitly: defaults differ per policy (VBBMS
-	// ships linear because its victim is an O(1) tail pop either way).
 	idx.(cache.LinearScanSelector).SetLinearVictimScan(false)
 	lin.(cache.LinearScanSelector).SetLinearVictimScan(true)
 	idxIdle, _ := idx.(cache.IdleEvictor)
@@ -92,8 +90,6 @@ func buildVindexPolicy(s *Spec) cache.Policy {
 		return cache.NewFAB(s.CapacityPages, s.PagesPerBlock)
 	case "lfu":
 		return cache.NewLFU(s.CapacityPages)
-	case "vbbms":
-		return cache.NewVBBMS(s.CapacityPages)
 	case "pud-lru":
 		return cache.NewPUDLRU(s.CapacityPages, s.PagesPerBlock)
 	}

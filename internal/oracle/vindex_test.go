@@ -10,7 +10,7 @@ import (
 )
 
 // TestVindexCampaignClean is the in-tree slice of the CI gate: a seed
-// range crossed with all four switchable-scan policies, indexed victim
+// range crossed with every switchable-scan policy, indexed victim
 // selection versus the linear reference scan, zero divergences expected.
 func TestVindexCampaignClean(t *testing.T) {
 	res := RunCampaign(CampaignConfig{
@@ -74,12 +74,12 @@ func TestGenerateVindexDeterministic(t *testing.T) {
 // would replay the wrong differential) and the filename carries it.
 func TestVindexReproRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	spec := GenerateVindex(5, "vbbms", 24)
+	spec := GenerateVindex(5, "lfu", 24)
 	path, err := SaveRepro(dir, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base := filepath.Base(path); !strings.HasPrefix(base, "vindex-vbbms-") {
+	if base := filepath.Base(path); !strings.HasPrefix(base, "vindex-lfu-") {
 		t.Fatalf("repro filename %q does not carry the mode", base)
 	}
 	got, err := LoadRepro(path)

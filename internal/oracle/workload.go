@@ -19,8 +19,9 @@ const ModeVindex = "vindex"
 // VictimPolicies lists the policies with a switchable linear victim scan
 // (cache.LinearScanSelector) — the ModeVindex policy set. ECR and
 // Req-block route through stateless vindex argmin selectors instead of a
-// heap, so they have no second implementation to diff against.
-var VictimPolicies = []string{"fab", "lfu", "vbbms", "pud-lru"}
+// heap, and VBBMS pops its region's list tail, so they have no second
+// implementation to diff against.
+var VictimPolicies = []string{"fab", "lfu", "pud-lru"}
 
 // Spec is one fully self-contained differential workload: policy,
 // configuration and request stream. A Spec determines a run completely,
@@ -66,7 +67,7 @@ func (s *Spec) Validate() error {
 		}
 	case ModeVindex:
 		switch s.Policy {
-		case "fab", "lfu", "vbbms", "pud-lru":
+		case "fab", "lfu", "pud-lru":
 		default:
 			return fmt.Errorf("oracle: unknown vindex policy %q", s.Policy)
 		}

@@ -6,19 +6,17 @@ import (
 	"repro/internal/cache"
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/ssd"
 )
 
 // This file is the replay's measurement plane: sim.Observer
 // implementations that fold engine events into Metrics. The engine
-// simulates, these observers measure — RunSource picks which to attach
+// simulates, these observers measure — RunSharded picks which to attach
 // based on Options. All of them are allocation-free per event so the
 // zero-alloc steady state of the hot path survives the instrumentation.
 
 // coreObserver accumulates the always-on metrics: hit/miss counts,
 // response summaries and quantiles, eviction-batch histogram and flush
-// counters, node gauges, and the end-of-run device snapshot (counters,
-// endurance, energy, utilization).
+// counters, node gauges, and the DRAM page traffic behind DRAMEnergyUJ.
 type coreObserver struct {
 	m         *Metrics
 	nodeSum   float64
@@ -74,7 +72,7 @@ func (c *coreObserver) OnResult(_ *sim.Engine, ev *sim.ResultEvent) {
 	m.Requests = ev.Processed
 }
 
-func (c *coreObserver) OnDone(e *sim.Engine, ev *sim.DoneEvent) {
+func (c *coreObserver) OnDone(_ *sim.Engine, ev *sim.DoneEvent) {
 	m := c.m
 	if m.Requests > 0 {
 		m.MeanNodes = c.nodeSum / float64(m.Requests)
@@ -82,24 +80,6 @@ func (c *coreObserver) OnDone(e *sim.Engine, ev *sim.DoneEvent) {
 	m.Degraded = ev.Degraded
 	m.DegradedAtRequest = ev.DegradedAtRequest
 	m.IdleGCRuns = ev.IdleGCRuns
-	dev := e.Device()
-	if dev == nil {
-		// Sharded run: no single device exists. RunSharded aggregates the
-		// per-shard device snapshots after the merge instead.
-		return
-	}
-	m.Device = dev.Counters()
-	m.GCSched = dev.GCSchedStats()
-	m.BackPressureStalls, m.BackPressureStallNs = dev.BackPressureStalls()
-	m.Endurance = dev.Endurance(0)
-	ep := ssd.DefaultEnergyParams()
-	m.Energy = dev.Energy(ep)
-	m.DRAMEnergyUJ = float64(c.dramPages) * ep.DRAMAccessUJ
-	if ev.HasRequests {
-		// Open-loop utilization is defined over the trace horizon — the
-		// whole source's time span, even when the run stopped early.
-		m.Utilization = dev.Utilization(ev.LastArrival - ev.FirstArrival)
-	}
 }
 
 // pageFate tracks one resident page for the Fig. 2/3 statistics.
@@ -217,86 +197,51 @@ func (t *tenantObserver) OnResult(_ *sim.Engine, ev *sim.ResultEvent) {
 func (t *tenantObserver) OnDone(*sim.Engine, *sim.DoneEvent) {}
 
 // occupancyObserver samples each internal list's page count every
-// SeriesInterval requests (Fig. 13). OccupancySampler policies expose a
-// fixed name order and append into a reusable buffer, so per-sample cost
-// is an indexed loop instead of a freshly allocated map (ListPages stays
-// the fallback for reporter-only policies).
+// SeriesInterval requests (Fig. 13). The sharded engine captures each
+// shard policy's occupancy sample at every result (cache.OccupancySampler
+// policies only), and this observer sums the latest sample of every shard
+// into the global list series.
 type occupancyObserver struct {
-	m         *Metrics
-	occupancy cache.OccupancyReporter
-	sampler   cache.OccupancySampler
-	slots     []*metrics.Series
-	buf       []int
+	sim.NopObserver
+	slots    []*metrics.Series
+	perShard [][]int // latest sample per shard, indexed by list slot
 }
 
-// newOccupancyObserver returns nil when the policy reports no occupancy.
-func newOccupancyObserver(m *Metrics, pol cache.Policy, interval int64) *occupancyObserver {
-	occupancy, ok := pol.(cache.OccupancyReporter)
+// newOccupancyObserver returns nil when the policy does not expose
+// sampled occupancy.
+func newOccupancyObserver(m *Metrics, pols []cache.Policy, interval int64) *occupancyObserver {
+	sampler, ok := pols[0].(cache.OccupancySampler)
 	if !ok {
 		return nil
 	}
-	o := &occupancyObserver{m: m, occupancy: occupancy}
+	names := sampler.OccupancyNames()
 	m.ListSeries = make(map[string]*metrics.Series)
-	if sampler, ok := pol.(cache.OccupancySampler); ok {
-		o.sampler = sampler
-		names := sampler.OccupancyNames()
-		o.slots = make([]*metrics.Series, len(names))
-		o.buf = make([]int, 0, len(names))
-		for i, name := range names {
-			s := metrics.NewSeries(interval)
-			m.ListSeries[name] = s
-			o.slots[i] = s
-		}
-		return o
+	o := &occupancyObserver{
+		slots:    make([]*metrics.Series, len(names)),
+		perShard: make([][]int, len(pols)),
 	}
-	for name := range occupancy.ListPages() {
-		m.ListSeries[name] = metrics.NewSeries(interval)
+	for i, name := range names {
+		s := metrics.NewSeries(interval)
+		m.ListSeries[name] = s
+		o.slots[i] = s
+	}
+	for k := range o.perShard {
+		o.perShard[k] = make([]int, len(names))
 	}
 	return o
 }
 
-func (o *occupancyObserver) OnRequest(*sim.Engine, *sim.RequestEvent)   {}
-func (o *occupancyObserver) OnEviction(*sim.Engine, *sim.EvictionEvent) {}
-
-func (o *occupancyObserver) OnResult(_ *sim.Engine, ev *sim.ResultEvent) {
-	if o.slots != nil {
-		o.buf = o.sampler.AppendOccupancy(o.buf[:0])
-		for s, slot := range o.slots {
-			slot.Tick(int64(ev.Processed), float64(o.buf[s]))
+// OnShardResult records the producing shard's fresh sample and ticks the
+// series with the cross-shard sums, exactly once per result.
+func (o *occupancyObserver) OnShardResult(shard int, occ []int, ev *sim.ResultEvent) {
+	if len(occ) == len(o.perShard[shard]) {
+		copy(o.perShard[shard], occ)
+	}
+	for s, slot := range o.slots {
+		sum := 0
+		for k := range o.perShard {
+			sum += o.perShard[k][s]
 		}
-		return
-	}
-	for name, pagesHeld := range o.occupancy.ListPages() {
-		o.m.ListSeries[name].Tick(int64(ev.Processed), float64(pagesHeld))
+		slot.Tick(int64(ev.Processed), float64(sum))
 	}
 }
-
-func (o *occupancyObserver) OnDone(*sim.Engine, *sim.DoneEvent) {}
-
-// crashObserver simulates a DRAM power loss: after CrashAtRequest
-// processed requests it counts the dirty pages still buffered as lost
-// host data and stops the engine.
-type crashObserver struct {
-	m  *Metrics
-	at int
-}
-
-func (c *crashObserver) OnRequest(*sim.Engine, *sim.RequestEvent)   {}
-func (c *crashObserver) OnEviction(*sim.Engine, *sim.EvictionEvent) {}
-
-func (c *crashObserver) OnResult(e *sim.Engine, ev *sim.ResultEvent) {
-	if c.m.Crashed || ev.Processed < c.at {
-		return
-	}
-	c.m.Crashed = true
-	c.m.CrashedAtRequest = ev.Processed
-	pol := e.Policy()
-	lost := pol.Len()
-	if dp, ok := pol.(cache.DirtyPager); ok {
-		lost = dp.DirtyPages()
-	}
-	c.m.LostDirtyPages = int64(lost)
-	e.Stop()
-}
-
-func (c *crashObserver) OnDone(*sim.Engine, *sim.DoneEvent) {}

@@ -8,10 +8,11 @@
 // The simulation itself lives in internal/sim: a streaming engine that
 // pulls requests from a trace.Source and emits observer events. This
 // package assembles the paper's metric set as sim.Observer implementations
-// (see observers.go) and exposes two entry points: Run replays a
-// materialized *trace.Trace, RunSource replays any trace.Source — e.g. a
-// trace.Scanner reading an MSR CSV file — in constant memory, never
-// holding the trace.
+// (see observers.go) in one replay body, RunSharded, which every entry
+// point reaches: Run replays a materialized *trace.Trace, RunSource
+// replays any trace.Source — e.g. a trace.Scanner reading an MSR CSV file
+// — in constant memory, never holding the trace, and RunShardedTrace
+// splits a materialized trace across shards.
 //
 // The replay is open-loop and deterministic: requests enter at their trace
 // timestamps, the cache decides hits/evictions instantly (DRAM time), and
@@ -40,9 +41,10 @@ import (
 type Options struct {
 	// SmallThresholdPages separates small from large requests for the
 	// Fig. 2/3 motivation statistics. Zero derives it from the trace's
-	// mean request size, as the paper's footnote 1 specifies (Run only:
-	// the derivation needs the whole trace, so RunSource requires an
-	// explicit threshold when TrackPageFates is set).
+	// mean request size, as the paper's footnote 1 specifies (Run and
+	// RunShardedTrace only: the derivation needs the whole trace, so a
+	// streamed source requires an explicit threshold when TrackPageFates
+	// is set).
 	SmallThresholdPages int
 	// SeriesInterval is the request interval for occupancy sampling
 	// (Fig. 13 logs every 10,000 requests). Zero disables the series.
@@ -110,9 +112,9 @@ type Options struct {
 	Observers []sim.Observer
 }
 
-// Validate rejects option combinations the replay cannot honor. Run and
-// RunSource call it first, so a bad configuration fails loudly up front
-// instead of silently skewing a long run.
+// Validate rejects option combinations the replay cannot honor. RunSharded
+// calls it first, so a bad configuration fails loudly up front instead of
+// silently skewing a long run.
 func (o *Options) Validate() error {
 	if o.SmallThresholdPages < 0 {
 		return fmt.Errorf("replay: SmallThresholdPages %d is negative (0 means auto-derive)", o.SmallThresholdPages)
@@ -237,8 +239,9 @@ type Metrics struct {
 	// IdleGCRuns counts background GC victim collections (Options.IdleGC,
 	// or completed scheduler collections under Options.GCBudgetNs).
 	IdleGCRuns int64
-	// GCSched snapshots the preemptible GC scheduler's counters
-	// (Options.GCBudgetNs or a pre-enabled device); all zero otherwise.
+	// GCSched snapshots the preemptible GC scheduler's counters, summed
+	// over the shards' devices (Options.GCBudgetNs or a pre-enabled
+	// device); all zero otherwise.
 	GCSched ftl.GCSchedStats
 	// BackPressureStalls counts admissions delayed by the destage backlog
 	// bound (Options.BackPressureDepth); BackPressureStallNs is the total
@@ -328,83 +331,20 @@ func Run(tr *trace.Trace, pol cache.Policy, dev *ssd.Device, opts Options) (*Met
 // RunSource replays a streaming source against a policy and device in
 // O(cache) memory: requests are consumed in small batches and never
 // retained, so a multi-hundred-MB trace file replays without being
-// materialized. The source is pulled on its own goroutine
+// materialized. It is RunSharded with one shard holding pol and dev, which
+// runs the bare engine: the source is pulled on its own goroutine
 // (trace.ReadAhead), so parsing overlaps the simulation; RunSource joins
 // that goroutine before it returns, on every path, and only then may the
 // caller touch the source again. Metrics are bit-identical to Run over
 // the same request sequence.
 func RunSource(src trace.Source, pol cache.Policy, dev *ssd.Device, opts Options) (*Metrics, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	if ps := dev.PageSize(); ps <= 0 {
-		return nil, fmt.Errorf("replay: device page size %d must be positive", ps)
-	}
-	if opts.TrackPageFates && opts.SmallThresholdPages == 0 {
-		return nil, fmt.Errorf("replay: TrackPageFates on a streaming source needs an explicit SmallThresholdPages (Run derives it from the materialized trace)")
-	}
-
-	m := &Metrics{
-		Trace:               src.Name(),
-		Policy:              pol.Name(),
-		EvictionBatch:       metrics.NewHist(512),
-		NodeBytes:           pol.NodeBytes(),
-		ResponseP50:         metrics.NewQuantile(0.5),
-		ResponseP99:         metrics.NewQuantile(0.99),
-		ResponseP999:        metrics.NewQuantile(0.999),
-		SmallThresholdPages: opts.SmallThresholdPages,
-	}
-	if opts.BackPressureDepth > 0 {
-		dev.SetBackPressure(opts.BackPressureDepth)
-	}
-	if opts.GCBudgetNs > 0 && !dev.GCSchedEnabled() {
-		dev.EnableGCScheduler(ftl.GCSchedConfig{Enabled: true})
-	}
-	ahead := trace.NewReadAhead(src)
-	defer ahead.Close()
-	eng := sim.New(ahead, pol, dev, sim.Config{
-		WarmupRequests: opts.WarmupRequests,
-		IdleFlushNs:    opts.IdleFlushNs,
-		IdleGC:         opts.IdleGC,
-		GCBudgetNs:     opts.GCBudgetNs,
-		QueueDepth:     opts.QueueDepth,
-		DestageNs:      opts.DestageNs,
-	})
-
-	// The measurement plane: the core metrics observer always runs; the
-	// specialized observers attach only when their option asks for them,
-	// so the hot path never pays for bookkeeping nobody requested.
-	eng.Observe(&coreObserver{m: m})
-	if opts.TrackPageFates {
-		m.InsertBySize = metrics.NewHist(256)
-		m.HitBySize = metrics.NewHist(256)
-		eng.Observe(&fateObserver{m: m, fates: make(map[int64]pageFate, pol.CapacityPages())})
-	}
-	if n := len(opts.TenantBoundaries); n > 0 {
-		m.Tenants = make([]TenantMetrics, n)
-		var prev int64
-		for i, b := range opts.TenantBoundaries {
-			m.Tenants[i] = TenantMetrics{FirstPage: prev, LastPage: b}
-			prev = b
-		}
-		eng.Observe(&tenantObserver{m: m})
-	}
-	if opts.SeriesInterval > 0 {
-		if obs := newOccupancyObserver(m, pol, opts.SeriesInterval); obs != nil {
-			eng.Observe(obs)
-		}
-	}
-	if opts.CrashAtRequest > 0 {
-		eng.Observe(&crashObserver{m: m, at: opts.CrashAtRequest})
-	}
-	// Caller-supplied observers run last, after the metric plane has folded
-	// each event in, so anything they read through the engine is current.
-	eng.Observe(opts.Observers...)
-
-	if _, err := eng.Run(); err != nil {
-		return nil, fmt.Errorf("replay: %w", err)
-	}
-	return m, nil
+	return RunSharded(src, ShardSpec{
+		Shards:             1,
+		Sharing:            sim.SharingEqual,
+		TotalCapacityPages: pol.CapacityPages(),
+		NewPolicy:          func(int, int) cache.Policy { return pol },
+		NewDevice:          func(int) (*ssd.Device, error) { return dev, nil },
+	}, opts)
 }
 
 // meanRequestPages computes the trace's mean request size in pages, the

@@ -15,10 +15,11 @@ import (
 // ShardSpec describes the partitioning of a sharded replay: how many
 // shards, how the global capacity divides among them, and how to build
 // each shard's policy and device. Everything measurement-related stays in
-// Options — a sharded run honors the same instrumentation set.
+// Options — a sharded run honors the same instrumentation set. RunSharded
+// rejects a spec sim.NewSharded cannot build.
 type ShardSpec struct {
-	// Shards is the partition count, >= 1. One shard reproduces RunSource
-	// bit-identically (the equivalence tests pin this).
+	// Shards is the partition count, >= 1. One shard runs the bare engine
+	// (RunSource is exactly that).
 	Shards int
 	// Sharing divides TotalCapacityPages: sim.SharingShared gives every
 	// shard the full capacity with a soft quota of capacity/N,
@@ -31,52 +32,14 @@ type ShardSpec struct {
 	// NewDevice builds shard k's device.
 	NewDevice func(shard int) (*ssd.Device, error)
 	// TenantRegionPages sizes the hash regions used to route requests
-	// when Options.TenantBoundaries is empty (0 = sim's default).
+	// when Options.TenantBoundaries is empty (0 = sim's default); setting
+	// both is rejected.
 	TenantRegionPages int64
 	// ShardObservers optionally attaches extra observers to each shard's
 	// engine (per-shard telemetry); they run on the shard goroutine.
 	ShardObservers func(shard int, eng *sim.Engine) []sim.Observer
 }
 
-// Validate rejects shard specs that cannot mean anything, including combos
-// that contradict the replay options (the options route requests when
-// TenantBoundaries is set, making the spec's hash-region size dead
-// configuration). RunSharded calls it first; sim.NewSharded re-checks the
-// engine-level subset as defense in depth.
-func (s *ShardSpec) Validate(opts Options) error {
-	if s.Shards < 1 {
-		return fmt.Errorf("replay: shards %d, need >= 1", s.Shards)
-	}
-	if s.NewPolicy == nil || s.NewDevice == nil {
-		return fmt.Errorf("replay: ShardSpec needs NewPolicy and NewDevice")
-	}
-	if s.TotalCapacityPages < s.Shards {
-		return fmt.Errorf("replay: capacity %d pages across %d shards leaves empty shards",
-			s.TotalCapacityPages, s.Shards)
-	}
-	if s.TenantRegionPages < 0 {
-		return fmt.Errorf("replay: TenantRegionPages %d is negative (0 selects the default)", s.TenantRegionPages)
-	}
-	if s.TenantRegionPages > 0 && len(opts.TenantBoundaries) > 0 {
-		return fmt.Errorf("replay: TenantRegionPages %d conflicts with %d explicit tenant boundaries: boundaries route requests, the hash region size would be ignored",
-			s.TenantRegionPages, len(opts.TenantBoundaries))
-	}
-	return nil
-}
-
-// RunSharded replays a streaming source across Spec.Shards parallel shard
-// engines, each owning one policy instance and one device, and folds the
-// deterministically merged event stream into the same Metrics RunSource
-// produces. Requests route to shards by tenant (Options.TenantBoundaries)
-// or by hashed address region; events re-merge in global trace order, so
-// the metrics are deterministic run-to-run regardless of scheduling, and
-// with Shards == 1 they are bit-identical to RunSource.
-//
-// Two observers change shape under sharding: the crash harness becomes a
-// global stream cut (the splitter stops feeding at the crash ordinal and
-// the dirty pages are summed across shards afterwards), and occupancy
-// series require cache.OccupancySampler policies (per-shard samples are
-// captured on the shard goroutine and summed on the merged stream).
 // RunShardedTrace is Run's sharded counterpart: it derives the small/large
 // threshold from the materialized trace (which needs the device page size,
 // so pass it explicitly) and then streams the trace through RunSharded.
@@ -87,11 +50,21 @@ func RunShardedTrace(tr *trace.Trace, pageSize int64, spec ShardSpec, opts Optio
 	return RunSharded(tr.Source(), spec, opts)
 }
 
+// RunSharded is the replay: it replays a streaming source across
+// Spec.Shards shard engines, each owning one policy instance and one
+// device, and folds the event stream into Metrics. With one shard the bare
+// engine runs over a read-ahead of the source, joined before RunSharded
+// returns. With more, requests route to shards by tenant
+// (Options.TenantBoundaries) or by hashed address region and the events
+// re-merge in global trace order, so the metrics are deterministic
+// run-to-run regardless of scheduling.
+//
+// The crash harness cuts the request stream at one global ordinal and sums
+// the dirty pages still buffered across shards; occupancy series require
+// cache.OccupancySampler policies (each shard's sample is taken at its
+// results and summed on the merged stream).
 func RunSharded(src trace.Source, spec ShardSpec, opts Options) (*Metrics, error) {
 	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	if err := spec.Validate(opts); err != nil {
 		return nil, err
 	}
 	if opts.TrackPageFates && opts.SmallThresholdPages == 0 {
@@ -111,6 +84,7 @@ func RunSharded(src trace.Source, spec ShardSpec, opts Options) (*Metrics, error
 			WarmupRequests: opts.WarmupRequests,
 			IdleFlushNs:    opts.IdleFlushNs,
 			IdleGC:         opts.IdleGC,
+			GCBudgetNs:     opts.GCBudgetNs,
 			QueueDepth:     opts.QueueDepth,
 			DestageNs:      opts.DestageNs,
 		},
@@ -134,9 +108,9 @@ func RunSharded(src trace.Source, spec ShardSpec, opts Options) (*Metrics, error
 		SmallThresholdPages: opts.SmallThresholdPages,
 	}
 
-	// The merged stream carries the same observer plane RunSource builds;
-	// the observers cannot tell they are downstream of a merge (they get a
-	// nil engine, which only the crash observer — replaced here — used).
+	// The measurement plane: the core metrics observer always runs; the
+	// specialized observers attach only when their option asks for them,
+	// so the hot path never pays for bookkeeping nobody requested.
 	core := &coreObserver{m: m}
 	eng.Observe(core)
 	if opts.TrackPageFates {
@@ -154,10 +128,12 @@ func RunSharded(src trace.Source, spec ShardSpec, opts Options) (*Metrics, error
 		eng.Observe(&tenantObserver{m: m})
 	}
 	if opts.SeriesInterval > 0 {
-		if obs := newShardedOccupancyObserver(m, pols, opts.SeriesInterval); obs != nil {
+		if obs := newOccupancyObserver(m, pols, opts.SeriesInterval); obs != nil {
 			eng.Observe(obs)
 		}
 	}
+	// Caller-supplied observers run last, after the metric plane has folded
+	// each event in, so anything they read through the engine is current.
 	eng.Observe(opts.Observers...)
 
 	done, err := eng.Run()
@@ -165,8 +141,8 @@ func RunSharded(src trace.Source, spec ShardSpec, opts Options) (*Metrics, error
 		return nil, fmt.Errorf("replay: %w", err)
 	}
 
-	// Crash accounting: the splitter cut the stream at the crash ordinal;
-	// the dirty pages still buffered anywhere are the simulated loss.
+	// Crash accounting: the stream was cut at the crash ordinal; the dirty
+	// pages still buffered anywhere are the simulated loss.
 	if opts.CrashAtRequest > 0 && eng.StoppedFeeding() && done.Processed >= opts.CrashAtRequest {
 		m.Crashed = true
 		m.CrashedAtRequest = done.Processed
@@ -185,10 +161,12 @@ func RunSharded(src trace.Source, spec ShardSpec, opts Options) (*Metrics, error
 	return m, nil
 }
 
-// aggregateShardDevices folds the per-shard device snapshots into the
-// single-device fields of Metrics: counters and energies sum, wear and
-// utilization merge distributionally. One shard takes the exact
-// single-device path so Shards == 1 stays bit-identical to RunSource.
+// aggregateShardDevices is where device state reaches Metrics: it folds
+// the per-shard device snapshots into the single-device fields. Counters
+// and energies sum, wear and utilization merge distributionally; one
+// shard copies its device's snapshot as is. Open-loop utilization is
+// defined over the trace horizon — the whole source's time span, even when
+// the run stopped early.
 func aggregateShardDevices(m *Metrics, devs []*ssd.Device, done sim.DoneEvent, dramPages int64) {
 	ep := ssd.DefaultEnergyParams()
 	horizon := int64(0)
@@ -198,6 +176,7 @@ func aggregateShardDevices(m *Metrics, devs []*ssd.Device, done sim.DoneEvent, d
 	if len(devs) == 1 {
 		dev := devs[0]
 		m.Device = dev.Counters()
+		m.GCSched = dev.GCSchedStats()
 		m.BackPressureStalls, m.BackPressureStallNs = dev.BackPressureStalls()
 		m.Endurance = dev.Endurance(0)
 		m.Energy = dev.Energy(ep)
@@ -228,6 +207,17 @@ func aggregateShardDevices(m *Metrics, devs []*ssd.Device, done sim.DoneEvent, d
 		m.Device.GrownBadBlocks += c.GrownBadBlocks
 		m.Device.DegradedEntries += c.DegradedEntries
 		m.Device.InvariantChecks += c.InvariantChecks
+		g := dev.GCSchedStats()
+		m.GCSched.JobsStarted += g.JobsStarted
+		m.GCSched.JobsCompleted += g.JobsCompleted
+		m.GCSched.JobsAbandoned += g.JobsAbandoned
+		m.GCSched.Preempts += g.Preempts
+		m.GCSched.Resumes += g.Resumes
+		m.GCSched.PacedSteps += g.PacedSteps
+		m.GCSched.VictimsIdle += g.VictimsIdle
+		m.GCSched.VictimsBackground += g.VictimsBackground
+		m.GCSched.VictimsMandatory += g.VictimsMandatory
+		m.GCSched.CostDeferred += g.CostDeferred
 		stalls, stallNs := dev.BackPressureStalls()
 		m.BackPressureStalls += stalls
 		m.BackPressureStallNs += stallNs
@@ -283,55 +273,4 @@ func aggregateShardDevices(m *Metrics, devs []*ssd.Device, done sim.DoneEvent, d
 		util.ChannelImbalance = util.MaxChannel / util.MeanChannel
 	}
 	m.Utilization = util
-}
-
-// shardedOccupancyObserver is the sharded form of occupancyObserver: each
-// shard's relay captures the policy's occupancy sample at every result
-// (cache.OccupancySampler policies only), and this observer sums the
-// latest sample of every shard into the global list series.
-type shardedOccupancyObserver struct {
-	sim.NopObserver
-	slots    []*metrics.Series
-	perShard [][]int // latest sample per shard, indexed by list slot
-}
-
-// newShardedOccupancyObserver returns nil when the policy does not expose
-// sampled occupancy (reporter-only policies are unsupported under
-// sharding: their map-based snapshots cannot be captured race-free).
-func newShardedOccupancyObserver(m *Metrics, pols []cache.Policy, interval int64) *shardedOccupancyObserver {
-	sampler, ok := pols[0].(cache.OccupancySampler)
-	if !ok {
-		return nil
-	}
-	names := sampler.OccupancyNames()
-	m.ListSeries = make(map[string]*metrics.Series)
-	o := &shardedOccupancyObserver{
-		slots:    make([]*metrics.Series, len(names)),
-		perShard: make([][]int, len(pols)),
-	}
-	for i, name := range names {
-		s := metrics.NewSeries(interval)
-		m.ListSeries[name] = s
-		o.slots[i] = s
-	}
-	for k := range o.perShard {
-		o.perShard[k] = make([]int, len(names))
-	}
-	return o
-}
-
-// OnShardResult records the producing shard's fresh sample and ticks the
-// series with the cross-shard sums, exactly once per merged result — the
-// same cadence occupancyObserver has on a single engine.
-func (o *shardedOccupancyObserver) OnShardResult(shard int, occ []int, ev *sim.ResultEvent) {
-	if len(occ) == len(o.perShard[shard]) {
-		copy(o.perShard[shard], occ)
-	}
-	for s, slot := range o.slots {
-		sum := 0
-		for k := range o.perShard {
-			sum += o.perShard[k][s]
-		}
-		slot.Tick(int64(ev.Processed), float64(sum))
-	}
 }

@@ -13,10 +13,10 @@ import (
 )
 
 // TestShardSpecValidate is the table over the sharded spec surface: every
-// meaningless or contradictory spec/options combination must be rejected
-// up front, including the hash-region-size-vs-explicit-boundaries
-// conflict (boundaries route requests; the region size would be dead
-// configuration).
+// meaningless or contradictory spec and options combination must make
+// RunSharded fail up front, including the hash-region-size-vs-explicit-
+// boundaries conflict (boundaries route requests; the region size would be
+// dead configuration), and every valid one must run.
 func TestShardSpecValidate(t *testing.T) {
 	valid := func() ShardSpec {
 		return ShardSpec{
@@ -47,19 +47,19 @@ func TestShardSpecValidate(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			spec := valid()
 			tc.mutate(&spec)
-			err := spec.Validate(tc.opts)
+			_, err := RunSharded(churnTrace(10).Source(), spec, tc.opts)
 			if tc.wantErr && err == nil {
-				t.Fatal("Validate() = nil, want error")
+				t.Fatal("RunSharded() = nil error, want one")
 			}
 			if !tc.wantErr && err != nil {
-				t.Fatalf("Validate() = %v, want nil", err)
+				t.Fatalf("RunSharded() = %v, want nil", err)
 			}
 		})
 	}
 }
 
-// TestRunShardedRejectsInvalidSpec checks the validation gates the
-// sharded entry point, not just the standalone method.
+// TestRunShardedRejectsInvalidSpec checks the region/boundary conflict
+// fails the sharded entry point before any shard runs.
 func TestRunShardedRejectsInvalidSpec(t *testing.T) {
 	spec := ShardSpec{
 		Shards: 2, TotalCapacityPages: 64, TenantRegionPages: 64,

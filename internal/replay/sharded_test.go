@@ -26,138 +26,6 @@ func shardTestDevice(int) (*ssd.Device, error) {
 	return ssd.New(p)
 }
 
-// TestShardedOneShardMatchesRunSource is the sharded engine's anchor
-// gate: with one shard, the splitter/relay/merge pipeline must reproduce
-// RunSource bit for bit — full Metrics struct, histograms, P² quantiles,
-// occupancy series, tenants — for every policy family and both sharing
-// modes (they coincide at N=1 by construction).
-func TestShardedOneShardMatchesRunSource(t *testing.T) {
-	ts0, hm1 := workload.TS0(), workload.HM1()
-	mix, err := workload.Mix("eq", workload.Options{Scale: 0.01}, ts0, hm1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := msrText(t, mix)
-	channels := ssd.DefaultParams().Flash.Channels
-	policies := []struct {
-		name string
-		mk   func(capacityPages int) cache.Policy
-	}{
-		{"LRU", func(n int) cache.Policy { return cache.NewLRU(n) }},
-		{"CFLRU", func(n int) cache.Policy { return cache.NewCFLRU(n) }},
-		{"FAB", func(n int) cache.Policy { return cache.NewFAB(n, 16) }},
-		{"BPLRU", func(n int) cache.Policy { return cache.NewBPLRU(n, 16) }},
-		{"VBBMS", func(n int) cache.Policy { return cache.NewVBBMS(n) }},
-		{"PUD-LRU", func(n int) cache.Policy { return cache.NewPUDLRU(n, 16) }},
-		{"ECR", func(n int) cache.Policy { return cache.NewECR(n, channels) }},
-		{"Req-block", func(n int) cache.Policy { return core.New(n) }},
-	}
-	opts := Options{
-		TrackPageFates:      true,
-		SmallThresholdPages: 4,
-		SeriesInterval:      500,
-		WarmupRequests:      100,
-		IdleFlushNs:         2_000_000,
-		QueueDepth:          8,
-		TenantBoundaries: []int64{
-			ts0.FootprintPages,
-			ts0.FootprintPages + hm1.FootprintPages,
-		},
-	}
-	for _, tc := range policies {
-		t.Run(tc.name, func(t *testing.T) {
-			want, err := RunSource(trace.Scan(bytes.NewReader(text), "eq"),
-				tc.mk(1024), testDevice(t), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, sharing := range []sim.SharingMode{sim.SharingShared, sim.SharingEqual} {
-				got, err := RunSharded(trace.Scan(bytes.NewReader(text), "eq"), ShardSpec{
-					Shards:             1,
-					Sharing:            sharing,
-					TotalCapacityPages: 1024,
-					NewPolicy:          func(_, n int) cache.Policy { return tc.mk(n) },
-					NewDevice:          shardTestDevice,
-				}, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("sharded(1, %v) diverged from RunSource:\nunsharded: %+v\nsharded:   %+v",
-						sharing, want, got)
-				}
-			}
-		})
-	}
-}
-
-// TestShardedOneShardMatchesRunSourceWithFaults repeats the one-shard
-// equivalence gate under the fault harness: injected failures with a
-// crash point and periodic destaging, and a degraded (read-only) stop.
-// The crash path is the interesting one — sharding replaces the Stop-based
-// crash observer with a splitter stream cut, and the two must agree on
-// every metric including the lost dirty pages.
-func TestShardedOneShardMatchesRunSourceWithFaults(t *testing.T) {
-	text := msrText(t, churnTrace(400))
-	configs := []struct {
-		name string
-		cfg  fault.Config
-	}{
-		{"seeded-faults-crash-destage", fault.Config{
-			Seed:            3,
-			ProgramFailProb: 0.002,
-			GrownBadProb:    0.01,
-			ReserveBlocks:   1000,
-			CheckInvariants: true,
-			CrashAtRequest:  120,
-			DestageNs:       2_000_000,
-		}},
-		{"degraded-stop", fault.Config{
-			EraseFailProb:   1,
-			ReserveBlocks:   1,
-			CheckInvariants: true,
-		}},
-	}
-	newDev := func(cfg fault.Config) func(int) (*ssd.Device, error) {
-		return func(int) (*ssd.Device, error) {
-			p := ssd.DefaultParams()
-			p.Flash.Channels = 2
-			p.Flash.ChipsPerChannel = 2
-			p.Flash.BlocksPerPlane = 16
-			p.Flash.PagesPerBlock = 8
-			p.Flash.OverProvision = 0.25
-			p.Flash.GCThreshold = 0.25
-			p.Precondition = 0
-			p.Faults = cfg
-			return ssd.New(p)
-		}
-	}
-	for _, tc := range configs {
-		t.Run(tc.name, func(t *testing.T) {
-			opts := Options{SmallThresholdPages: 8}
-			opts.ApplyFaults(tc.cfg)
-			want, err := RunSource(trace.Scan(bytes.NewReader(text), "churn"),
-				cache.NewLRU(64), faultDevice(t, tc.cfg), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := RunSharded(trace.Scan(bytes.NewReader(text), "churn"), ShardSpec{
-				Shards:             1,
-				Sharing:            sim.SharingEqual,
-				TotalCapacityPages: 64,
-				NewPolicy:          func(_, n int) cache.Policy { return cache.NewLRU(n) },
-				NewDevice:          newDev(tc.cfg),
-			}, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("faulted sharded(1) diverged:\nunsharded: %+v\nsharded:   %+v", want, got)
-			}
-		})
-	}
-}
-
 // TestShardedDeterministicAcrossRuns pins the sequence-number merge: a
 // multi-shard replay run twice must produce DeepEqual metrics AND a
 // byte-identical trace-span stream, for both sharing modes, with tenant
@@ -200,7 +68,7 @@ func TestShardedDeterministicAcrossRuns(t *testing.T) {
 					Observers:           []sim.Observer{tracer},
 				}
 				// Hash-region size only without explicit boundaries: the
-				// combination is rejected as contradictory (ShardSpec.Validate).
+				// combination is rejected as contradictory (sim.NewSharded).
 				regionPages := int64(64)
 				if len(tc.tenants) > 0 {
 					regionPages = 0
@@ -395,6 +263,51 @@ func TestShardedDeviceCountersSumShards(t *testing.T) {
 		}
 		if sum == 0 && name != "DegradedEntries" {
 			t.Errorf("Device.%s is 0 on every shard: the run does not exercise it", name)
+		}
+	}
+}
+
+// TestShardedGCBudgetSchedulesIdleSlices pins the GC budget under
+// sharding: two GC-bound shards with idle windows and a budget must grant
+// the shard devices' schedulers idle slices (jobs preempted and resumed),
+// and each field of Metrics.GCSched must equal that field summed over the
+// shards' devices, so a sharded run cannot drop the budget or a counter.
+func TestShardedGCBudgetSchedulesIdleSlices(t *testing.T) {
+	tr := workload.MustGenerate(workload.SRC12(), workload.Options{Scale: 0.05})
+	params := ssd.ScaledParams(64)
+	params.Precondition = 0.9
+	var devs []*ssd.Device
+	spec := ShardSpec{
+		Shards: 2, Sharing: sim.SharingShared, TotalCapacityPages: 4 * 256,
+		NewPolicy: func(_, n int) cache.Policy { return cache.NewFAB(n, params.Flash.PagesPerBlock) },
+		NewDevice: func(int) (*ssd.Device, error) {
+			dev, err := ssd.New(params)
+			devs = append(devs, dev)
+			return dev, err
+		},
+	}
+	m, err := RunShardedTrace(tr, int64(params.Flash.PageSize), spec, Options{
+		IdleFlushNs: 2_000_000,
+		GCBudgetNs:  10_000_000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.GCSched.Preempts == 0 || m.GCSched.Resumes == 0 {
+		t.Fatalf("no idle GC slices granted across shards: %+v", m.GCSched)
+	}
+	got := reflect.ValueOf(m.GCSched)
+	for i := 0; i < got.NumField(); i++ {
+		name := got.Type().Field(i).Name
+		if got.Field(i).Kind() != reflect.Int64 {
+			t.Fatalf("ftl.GCSchedStats.%s is %s: extend this test to aggregate it", name, got.Field(i).Kind())
+		}
+		var sum int64
+		for _, dev := range devs {
+			sum += reflect.ValueOf(dev.GCSchedStats()).Field(i).Int()
+		}
+		if g := got.Field(i).Int(); g != sum {
+			t.Errorf("GCSched.%s = %d, want %d summed over the shards", name, g, sum)
 		}
 	}
 }

@@ -127,9 +127,10 @@ func (s *shardBlameSink) OnShardResult(_ int, _ []int, ev *ResultEvent) {
 	s.byShard[ev.Req.Index] = ev.Blame
 }
 
-// A single-shard sharded run must reproduce the unsharded engine's blame
-// spans bit for bit: the relay's copy, the merger's rebuild, and the
-// ShardAware fan-out all preserve the partition.
+// A single-shard run forced through the splitter/relay/merger must
+// reproduce the unsharded engine's blame spans bit for bit: the relay's
+// copy, the merger's rebuild, and the ShardAware fan-out all preserve the
+// partition.
 func TestShardedBlameSurvivesRelay(t *testing.T) {
 	mk := func() (*shardBlameSink, func() (DoneEvent, error)) {
 		sink := &shardBlameSink{
@@ -137,7 +138,7 @@ func TestShardedBlameSurvivesRelay(t *testing.T) {
 			byShard: map[int]Blame{},
 			resp:    map[int]int64{},
 		}
-		eng, err := NewSharded(blameTrace().Source(), ShardConfig{
+		eng, err := newSharded(blameTrace().Source(), ShardConfig{
 			Shards: 1, Sharing: SharingShared, TotalCapacityPages: 512,
 			NewPolicy: func(_, n int) cache.Policy { return cache.NewLRU(n) },
 			NewDevice: func(int) (*ssd.Device, error) {
@@ -149,7 +150,7 @@ func TestShardedBlameSurvivesRelay(t *testing.T) {
 			},
 			BackPressureDepth: 2,
 			Engine:            Config{QueueDepth: 4, DestageNs: 200_000},
-		})
+		}, true)
 		if err != nil {
 			t.Fatal(err)
 		}

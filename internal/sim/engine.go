@@ -119,8 +119,8 @@ func (e *Engine) Observe(obs ...Observer) {
 // Stop ends the run after the current request: the engine emits no
 // further request events and proceeds to OnDone. The crash harness calls
 // it from OnResult when the simulated power loss point is reached.
-// Nil-safe (a no-op on the merged stream of a sharded run, where no
-// single engine is addressable).
+// Nil-safe (a no-op on the merged stream of a run with two or more
+// shards, where no single engine is addressable).
 func (e *Engine) Stop() {
 	if e != nil {
 		e.stop = true
@@ -128,9 +128,9 @@ func (e *Engine) Stop() {
 }
 
 // Policy returns the policy under simulation (for observers that inspect
-// policy state, e.g. the crash harness counting dirty pages). Nil-safe:
-// merged-stream observers in a sharded run receive a nil engine, because
-// no single engine's live state is race-free to read from the merger.
+// policy state). Nil-safe: merged-stream observers of a run with two or
+// more shards receive a nil engine, because no single engine's live state
+// is race-free to read from the merger.
 func (e *Engine) Policy() cache.Policy {
 	if e == nil {
 		return nil

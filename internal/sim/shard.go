@@ -20,6 +20,10 @@
 // shard's next event instead of blocking on it forever. The splitter only
 // ever waits on the soft bound — and it watermarks everyone first — so
 // every cycle through splitter → shard → merger has a consumable minimum.
+//
+// One shard has nothing to split or merge: it runs its engine directly
+// over a read-ahead of the source, on the caller's goroutine, and the
+// merged-stream observers attach to that live engine.
 package sim
 
 import (
@@ -29,6 +33,7 @@ import (
 	"sync"
 
 	"repro/internal/cache"
+	"repro/internal/ftl"
 	"repro/internal/ssd"
 	"repro/internal/trace"
 )
@@ -108,13 +113,14 @@ type ShardConfig struct {
 	// (ssd.Device.SetBackPressure). Zero disables.
 	BackPressureDepth int
 	// Engine is the per-shard engine config. WarmupRequests counts global
-	// source ordinals (the relay rewrites warmth), and SoftQuotaPages is
-	// overwritten per the sharing mode.
+	// source ordinals (the relay rewrites warmth), SoftQuotaPages is
+	// overwritten per the sharing mode, and a positive GCBudgetNs enables
+	// the GC scheduler on every shard device that lacks it.
 	Engine Config
-	// StopAfterRequests, when positive, stops routing after that many
-	// non-empty requests reached shards — the sharded form of the crash
-	// harness's Stop (a global power-loss point must cut the request
-	// stream at one ordinal, not per-shard).
+	// StopAfterRequests, when positive, cuts the run after that many
+	// non-empty requests — the crash harness's global power-loss point.
+	// The splitter stops routing at that ordinal; one shard stops its
+	// engine at that processed count.
 	StopAfterRequests int
 	// CaptureOccupancy samples each OccupancySampler policy's list sizes
 	// at every result and carries the sample to ShardAware observers.
@@ -127,9 +133,9 @@ type ShardConfig struct {
 
 // ShardAware is implemented by merged-stream observers that want each
 // result's shard provenance and (when ShardConfig.CaptureOccupancy is set)
-// the policy's occupancy sample at that result. The merger calls it right
-// after the observer's OnResult. The occupancy slice is only valid during
-// the call.
+// the policy's occupancy sample at that result. It is called right after
+// every merged-stream observer's OnResult for that result. The occupancy
+// slice is only valid during the call.
 type ShardAware interface {
 	OnShardResult(shard int, occupancy []int, ev *ResultEvent)
 }
@@ -492,6 +498,9 @@ type ShardedEngine struct {
 	src trace.Source
 	cfg ShardConfig
 	obs []Observer
+	// direct runs the single shard's engine itself instead of the
+	// splitter/relay/merger pipeline.
+	direct bool
 
 	pols    []cache.Policy
 	devs    []*ssd.Device
@@ -499,7 +508,6 @@ type ShardedEngine struct {
 	relays  []*shardRelay
 	queues  []*shardQueue
 	bl      *backlog
-	dones   []DoneEvent
 
 	stoppedFeed bool // StopAfterRequests tripped
 }
@@ -508,6 +516,13 @@ type ShardedEngine struct {
 // and engine (accessible via ShardPolicies/ShardDevices before Run — the
 // replay layer needs them to assemble observers).
 func NewSharded(src trace.Source, cfg ShardConfig) (*ShardedEngine, error) {
+	return newSharded(src, cfg, false)
+}
+
+// newSharded is NewSharded with the pipeline choice exposed: pipeline
+// forces the splitter/relay/merger even for one shard, so tests can hold
+// the direct path to the pipeline's event stream.
+func newSharded(src trace.Source, cfg ShardConfig, pipeline bool) (*ShardedEngine, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("sim: shards %d, need >= 1", cfg.Shards)
 	}
@@ -544,12 +559,12 @@ func NewSharded(src trace.Source, cfg ShardConfig) (*ShardedEngine, error) {
 
 	s := &ShardedEngine{
 		src: src, cfg: cfg,
+		direct:  cfg.Shards == 1 && !pipeline,
 		pols:    make([]cache.Policy, cfg.Shards),
 		devs:    make([]*ssd.Device, cfg.Shards),
 		engines: make([]*Engine, cfg.Shards),
 		relays:  make([]*shardRelay, cfg.Shards),
 		queues:  make([]*shardQueue, cfg.Shards),
-		dones:   make([]DoneEvent, cfg.Shards),
 		bl:      newBacklog(cfg.Shards * backlogPerShard),
 	}
 	for k := 0; k < cfg.Shards; k++ {
@@ -565,38 +580,49 @@ func NewSharded(src trace.Source, cfg ShardConfig) (*ShardedEngine, error) {
 		if cfg.BackPressureDepth > 0 {
 			dev.SetBackPressure(cfg.BackPressureDepth)
 		}
+		if cfg.Engine.GCBudgetNs > 0 && !dev.GCSchedEnabled() {
+			dev.EnableGCScheduler(ftl.GCSchedConfig{Enabled: true})
+		}
 		ecfg := cfg.Engine
-		// Warmth is an ordinal property of the global stream; the relay
-		// rewrites it, so the shard engine itself never marks cold.
-		ecfg.WarmupRequests = 0
+		// A lone shard holds the whole capacity: no quota to enforce.
 		ecfg.SoftQuotaPages = 0
-		if cfg.Sharing == SharingShared {
+		if cfg.Sharing == SharingShared && cfg.Shards > 1 {
 			ecfg.SoftQuotaPages = quota
 		}
-		relay := &shardRelay{
-			out:    make(chan *eventBatch, outChanCap),
-			free:   make(chan *eventBatch, outChanCap+2),
-			warmup: cfg.Engine.WarmupRequests,
+		s.pols[k], s.devs[k] = pol, dev
+		if s.direct {
+			// runDirect binds the read-ahead source and the merged-stream
+			// observers.
+			s.engines[k] = New(nil, pol, dev, ecfg)
+		} else {
+			// Warmth is an ordinal property of the global stream; the relay
+			// rewrites it, so the shard engine itself never marks cold.
+			ecfg.WarmupRequests = 0
+			relay := &shardRelay{
+				out:    make(chan *eventBatch, outChanCap),
+				free:   make(chan *eventBatch, outChanCap+2),
+				warmup: cfg.Engine.WarmupRequests,
+			}
+			if cfg.CaptureOccupancy {
+				relay.sampler, _ = pol.(cache.OccupancySampler)
+			}
+			srcK := &shardSource{name: src.Name(), q: newShardQueue(), bl: s.bl, relay: relay}
+			relay.src = srcK
+			s.engines[k], s.relays[k], s.queues[k] = New(srcK, pol, dev, ecfg), relay, srcK.q
+			s.engines[k].Observe(relay)
 		}
-		if cfg.CaptureOccupancy {
-			relay.sampler, _ = pol.(cache.OccupancySampler)
-		}
-		srcK := &shardSource{name: src.Name(), q: newShardQueue(), bl: s.bl, relay: relay}
-		relay.src = srcK
-		eng := New(srcK, pol, dev, ecfg)
-		eng.Observe(relay)
 		if cfg.ShardObservers != nil {
-			eng.Observe(cfg.ShardObservers(k, eng)...)
+			s.engines[k].Observe(cfg.ShardObservers(k, s.engines[k])...)
 		}
-		s.pols[k], s.devs[k], s.engines[k] = pol, dev, eng
-		s.relays[k], s.queues[k] = relay, srcK.q
 	}
 	return s, nil
 }
 
 // Observe registers merged-stream observers; they receive the merged
-// events in registration order, with a nil *Engine (no single engine's
-// live state is race-free to read from the merger).
+// events in registration order. With two or more shards they get a nil
+// *Engine (no single engine's live state is race-free to read from the
+// merger); with one they are attached to the live engine, ahead of the
+// shard observers.
 func (s *ShardedEngine) Observe(obs ...Observer) { s.obs = append(s.obs, obs...) }
 
 // ShardPolicies returns each shard's policy instance. Only read them
@@ -605,9 +631,6 @@ func (s *ShardedEngine) ShardPolicies() []cache.Policy { return s.pols }
 
 // ShardDevices returns each shard's device (same access rule).
 func (s *ShardedEngine) ShardDevices() []*ssd.Device { return s.devs }
-
-// ShardDones returns each shard engine's run summary, valid after Run.
-func (s *ShardedEngine) ShardDones() []DoneEvent { return s.dones }
 
 // StoppedFeeding reports whether StopAfterRequests cut the stream.
 func (s *ShardedEngine) StoppedFeeding() bool { return s.stoppedFeed }
@@ -702,6 +725,9 @@ func (s *ShardedEngine) split(res *splitResult) {
 // Run replays the source across the shards and returns the merged run
 // summary. It may be called once per ShardedEngine.
 func (s *ShardedEngine) Run() (DoneEvent, error) {
+	if s.direct {
+		return s.runDirect()
+	}
 	n := s.cfg.Shards
 
 	var split splitResult
@@ -713,11 +739,12 @@ func (s *ShardedEngine) Run() (DoneEvent, error) {
 	}()
 
 	errs := make([]error, n)
+	dones := make([]DoneEvent, n)
 	for k := 0; k < n; k++ {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			s.dones[k], errs[k] = s.engines[k].Run()
+			dones[k], errs[k] = s.engines[k].Run()
 			// On an engine error the queue may still hold batches the
 			// splitter accounted to the backlog; drain them so the
 			// splitter's soft-bound wait can always make progress.
@@ -755,8 +782,7 @@ func (s *ShardedEngine) Run() (DoneEvent, error) {
 		LastArrival:  split.lastArrival,
 		Stopped:      s.stoppedFeed,
 	}
-	for k := 0; k < n; k++ {
-		d := s.dones[k]
+	for _, d := range dones {
 		done.IdleGCRuns += d.IdleGCRuns
 		if d.Stopped {
 			done.Stopped = true
@@ -774,6 +800,54 @@ func (s *ShardedEngine) Run() (DoneEvent, error) {
 		o.OnDone(nil, &done)
 	}
 	return done, nil
+}
+
+// runDirect runs a one-shard replay on the caller's goroutine: the shard's
+// engine pulls a read-ahead of the source (the filler goroutine is joined
+// before runDirect returns), and the merged-stream observers see the live
+// engine, followed by the ShardAware and stop-after duties the merger and
+// splitter would otherwise perform.
+func (s *ShardedEngine) runDirect() (DoneEvent, error) {
+	eng := s.engines[0]
+	ahead := trace.NewReadAhead(s.src)
+	defer ahead.Close()
+	eng.src = ahead
+	tail := &directTail{s: s}
+	for _, o := range s.obs {
+		if sa, ok := o.(ShardAware); ok {
+			tail.aware = append(tail.aware, sa)
+		}
+	}
+	if s.cfg.CaptureOccupancy {
+		tail.sampler, _ = s.pols[0].(cache.OccupancySampler)
+	}
+	shardObs := eng.obs
+	eng.obs = append(append(append([]Observer(nil), s.obs...), tail), shardObs...)
+	return eng.Run()
+}
+
+// directTail follows the merged-stream observers on a one-shard engine:
+// it hands each result to the ShardAware observers with the policy's
+// occupancy sample, and stops the engine at StopAfterRequests.
+type directTail struct {
+	NopObserver
+	s       *ShardedEngine
+	aware   []ShardAware
+	sampler cache.OccupancySampler // nil unless capturing occupancy
+	occ     []int
+}
+
+func (t *directTail) OnResult(e *Engine, ev *ResultEvent) {
+	if t.sampler != nil {
+		t.occ = t.sampler.AppendOccupancy(t.occ[:0])
+	}
+	for _, sa := range t.aware {
+		sa.OnShardResult(0, t.occ, ev)
+	}
+	if stop := t.s.cfg.StopAfterRequests; stop > 0 && ev.Processed >= stop {
+		t.s.stoppedFeed = true
+		e.Stop()
+	}
 }
 
 // merge is the deterministic sequence-number min-merge: it repeatedly
