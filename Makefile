@@ -101,6 +101,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzReadMSR$$' -fuzztime 10s ./internal/trace
 	go test -run '^$$' -fuzz '^FuzzPageSet$$' -fuzztime 10s ./internal/cache
 	go test -run '^$$' -fuzz '^FuzzReqBlockOps$$' -fuzztime 10s ./internal/core
+	go test -run '^$$' -fuzz '^FuzzHTTPHandler$$' -fuzztime 10s ./internal/serve
 
 # ssdcheck-quick is the CI differential gate: 64 seeds × 4 policies of
 # randomized workloads replayed through the fast implementations and the

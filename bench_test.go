@@ -104,12 +104,32 @@ func BenchmarkFigure7DeltaSensitivity(b *testing.B) {
 	}
 }
 
+// fig8GridConfig is the bench-scale evaluation grid: three traces at
+// scale 0.05 with 16 and 32 MB caches. TestFigure8RatioPinned pins its
+// Fig. 8 ratio.
+func fig8GridConfig() experiments.Config {
+	cfg := benchConfig("src1_2", "ts_0", "proj_0")
+	cfg.CacheSizesMB = []int{16, 32}
+	return cfg
+}
+
+// reqBlockRespVsLRU is the paper's headline number: Req-block's response
+// time normalized to LRU, averaged over the grid's Fig. 8 rows.
+func reqBlockRespVsLRU(g *experiments.GridResult) float64 {
+	var sum float64
+	var n int
+	for _, row := range g.Figure8() {
+		sum += row.Normalized["Req-block"]
+		n++
+	}
+	return sum / float64(n)
+}
+
 // gridBench runs the evaluation grid once per iteration and hands the
 // result to report on the final iteration.
 func gridBench(b *testing.B, report func(*experiments.GridResult)) {
 	b.Helper()
-	cfg := benchConfig("src1_2", "ts_0", "proj_0")
-	cfg.CacheSizesMB = []int{16, 32}
+	cfg := fig8GridConfig()
 	for i := 0; i < b.N; i++ {
 		r := experiments.NewRunner(cfg)
 		g, err := r.RunGrid()
@@ -125,13 +145,7 @@ func gridBench(b *testing.B, report func(*experiments.GridResult)) {
 // BenchmarkFigure8ResponseTime regenerates the normalized response times.
 func BenchmarkFigure8ResponseTime(b *testing.B) {
 	gridBench(b, func(g *experiments.GridResult) {
-		var sum float64
-		var n int
-		for _, row := range g.Figure8() {
-			sum += row.Normalized["Req-block"]
-			n++
-		}
-		b.ReportMetric(sum/float64(n), "reqblock-resp-vs-LRU")
+		b.ReportMetric(reqBlockRespVsLRU(g), "reqblock-resp-vs-LRU")
 	})
 }
 
@@ -141,8 +155,7 @@ func BenchmarkFigure8ResponseTime(b *testing.B) {
 // delta against BenchmarkFigure8ResponseTime is the telemetry cost on
 // the acceptance workload (the issue's bar: ≤ 5% with sampling on).
 func BenchmarkFigure8ResponseTimeTelemetry(b *testing.B) {
-	cfg := benchConfig("src1_2", "ts_0", "proj_0")
-	cfg.CacheSizesMB = []int{16, 32}
+	cfg := fig8GridConfig()
 	tel := obs.New()
 	cfg.Tap = tel
 	cfg.Observers = []sim.Observer{
@@ -157,13 +170,7 @@ func BenchmarkFigure8ResponseTimeTelemetry(b *testing.B) {
 			b.Fatal(err)
 		}
 		if i == b.N-1 {
-			var sum float64
-			var n int
-			for _, row := range g.Figure8() {
-				sum += row.Normalized["Req-block"]
-				n++
-			}
-			b.ReportMetric(sum/float64(n), "reqblock-resp-vs-LRU")
+			b.ReportMetric(reqBlockRespVsLRU(g), "reqblock-resp-vs-LRU")
 		}
 	}
 }

@@ -76,9 +76,6 @@ func main() {
 		sub = &serve.Client{Base: strings.TrimRight(*target, "/")}
 	case *inproc:
 		params := ssd.ScaledParams(*divisor)
-		if *gcBudget > 0 {
-			params.GCSched.Enabled = true
-		}
 		tel := obs.New()
 		var fr *obs.FlightRecorder
 		if *flightDir != "" {

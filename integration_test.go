@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/mrc"
 	"repro/internal/replay"
 	"repro/internal/ssd"
@@ -25,6 +26,22 @@ func integrationDevice(t *testing.T) *ssd.Device {
 		t.Fatal(err)
 	}
 	return d
+}
+
+// TestFigure8RatioPinned pins the paper's headline number on the grid
+// BenchmarkFigure8ResponseTime runs: Req-block's mean response time
+// normalized to LRU. Simulated time is deterministic, so the ratio must
+// match to the last bit; a change that moves it changes the reproduced
+// result.
+func TestFigure8RatioPinned(t *testing.T) {
+	g, err := experiments.NewRunner(fig8GridConfig()).RunGrid()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = 0.9596779647745152 // prints as 0.9597
+	if got := reqBlockRespVsLRU(g); got != want {
+		t.Fatalf("reqblock-resp-vs-LRU = %v, want %v", got, want)
+	}
 }
 
 // TestHitRatioConservation: for any policy, page accesses partition into

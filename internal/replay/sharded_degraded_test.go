@@ -58,21 +58,6 @@ func TestShardSpecValidate(t *testing.T) {
 	}
 }
 
-// TestRunShardedRejectsInvalidSpec checks the region/boundary conflict
-// fails the sharded entry point before any shard runs.
-func TestRunShardedRejectsInvalidSpec(t *testing.T) {
-	spec := ShardSpec{
-		Shards: 2, TotalCapacityPages: 64, TenantRegionPages: 64,
-		NewPolicy: func(_, n int) cache.Policy { return cache.NewLRU(n) },
-		NewDevice: shardTestDevice,
-	}
-	_, err := RunSharded(churnTrace(10).Source(), spec,
-		Options{TenantBoundaries: []int64{100}})
-	if err == nil {
-		t.Fatal("RunSharded accepted a contradictory spec/options combo")
-	}
-}
-
 // twoRegionChurn alternates writes between two 128-page LPN regions so
 // that, with a TenantBoundary at page 256, shard 0 and shard 1 each see a
 // steady overwrite churn. Both regions fit the small 384-logical-page

@@ -20,14 +20,14 @@
 // Every request carries a deadline; expiry is charged to the phase where
 // it happened (queued vs in service), so tail-latency diagnoses point at
 // the right stage. The clock is injectable (Config.Now) which makes the
-// deadline machinery deterministic under test; the simulated-time batch
-// path (Replay) is fully deterministic and bit-identical to
-// replay.RunSharded when admission control is off.
+// deadline machinery deterministic under test. Shards are built by
+// sim.BuildShards, the same build the sharded replay uses: with the ladder
+// idle, one request at a time on a fake clock set to each arrival, a
+// server's responses equal a replay's per-request results bit for bit.
 package serve
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -151,18 +151,20 @@ type Response struct {
 
 // Config assembles a Server.
 type Config struct {
-	// Shards, Sharing, TotalCapacityPages, NewPolicy and NewDevice mirror
-	// replay.ShardSpec: the DRAM capacity is divided per Sharing and each
-	// shard gets its own policy and device.
+	// Shards, Sharing, TotalCapacityPages, NewPolicy, NewDevice, the tenant
+	// routing fields, BackPressureDepth and GCBudgetNs describe the shard
+	// topology. New hands them to sim.BuildShards, the shard build the
+	// sharded replay uses, so they take the same values and pass the same
+	// validation as sim.ShardConfig's fields of the same names.
 	Shards             int
 	Sharing            sim.SharingMode
 	TotalCapacityPages int
 	NewPolicy          func(shard, capacityPages int) cache.Policy
 	NewDevice          func(shard int) (*ssd.Device, error)
 
-	// TenantBoundaries / TenantRegionPages select the LPN routing, with
-	// the same exclusivity rule as the sharded replay: explicit
-	// boundaries route when set, hash regions otherwise.
+	// TenantBoundaries / TenantRegionPages select the LPN routing:
+	// explicit boundaries route when set, hash regions otherwise; setting
+	// both is rejected.
 	TenantBoundaries  []int64
 	TenantRegionPages int64
 
@@ -171,8 +173,9 @@ type Config struct {
 	QueueDepth int
 	// WriteWindowPages is the per-shard DRAM free-slot window: a write
 	// is admitted only while buffered pages plus queued write pages fit
-	// under it. Zero derives 1.5x the shard's capacity share. Reads
-	// bypass the window.
+	// under it. Zero derives 1.5x the shard policy's capacity (the whole
+	// buffer under SHARED, the shard's slice under EQUAL). Reads bypass
+	// the window.
 	WriteWindowPages int
 	// Shed enables ladder rung 1: writes that do not fit the window are
 	// admitted as write-around bypasses to flash instead of waiting.
@@ -189,13 +192,9 @@ type Config struct {
 	// GCBudgetNs grants a shard's device one budgeted slice of preemptible
 	// GC (ssd.Device.ScheduleGC) each time its admission queue runs empty —
 	// the service-layer analogue of the engine's idle-window coordination.
-	// Requires devices built with the GC scheduler enabled (Params.GCSched);
-	// devices without it are left untouched. Zero disables.
+	// A positive budget enables the GC scheduler on devices built without
+	// it. Zero disables.
 	GCBudgetNs int64
-	// Engine tunes each shard's simulation engine (idle flush, destage
-	// cadence, closed-loop depth). SoftQuotaPages is overwritten for
-	// SharingShared, exactly as the sharded replay does.
-	Engine sim.Config
 
 	// Pace throttles each shard worker so simulated device time does not
 	// run ahead of the wall clock: the simulated device becomes the real
@@ -264,39 +263,25 @@ const (
 	paceSlackNs       = int64(2 * time.Millisecond)
 )
 
-// New validates the config, builds the shards, and starts their workers.
-// The server accepts requests as soon as New returns.
+// New validates the config, builds the shards through sim.BuildShards, and
+// starts their workers. The server accepts requests as soon as New returns.
 func New(cfg Config) (*Server, error) {
-	if cfg.Shards < 1 {
-		return nil, fmt.Errorf("serve: shards %d, need >= 1", cfg.Shards)
-	}
-	if cfg.NewPolicy == nil || cfg.NewDevice == nil {
-		return nil, fmt.Errorf("serve: NewPolicy and NewDevice are required")
-	}
-	if cfg.TotalCapacityPages < cfg.Shards {
-		return nil, fmt.Errorf("serve: capacity %d pages below one page per shard (%d)",
-			cfg.TotalCapacityPages, cfg.Shards)
-	}
-	if cfg.TenantRegionPages < 0 {
-		return nil, fmt.Errorf("serve: negative tenant region pages %d", cfg.TenantRegionPages)
-	}
-	if cfg.TenantRegionPages > 0 && len(cfg.TenantBoundaries) > 0 {
-		return nil, fmt.Errorf("serve: explicit tenant boundaries and hash regions are exclusive: boundaries route, regions would be ignored")
-	}
-	// RouteLPN binary-searches the boundaries, so unsorted or negative
-	// values silently misroute instead of failing — reject them here,
-	// mirroring sim.NewSharded.
-	if !sort.SliceIsSorted(cfg.TenantBoundaries, func(i, j int) bool {
-		return cfg.TenantBoundaries[i] < cfg.TenantBoundaries[j]
-	}) {
-		return nil, fmt.Errorf("serve: tenant boundaries must be sorted ascending")
-	}
-	if len(cfg.TenantBoundaries) > 0 && cfg.TenantBoundaries[0] < 0 {
-		return nil, fmt.Errorf("serve: negative tenant boundary %d", cfg.TenantBoundaries[0])
-	}
-	if cfg.QueueDepth < 0 || cfg.WriteWindowPages < 0 || cfg.DefaultDeadlineNs < 0 ||
-		cfg.MaxWaitNs < 0 || cfg.BackPressureDepth < 0 || cfg.GCBudgetNs < 0 {
+	if cfg.QueueDepth < 0 || cfg.WriteWindowPages < 0 || cfg.DefaultDeadlineNs < 0 || cfg.MaxWaitNs < 0 {
 		return nil, fmt.Errorf("serve: negative admission parameter")
+	}
+	built, err := sim.BuildShards(sim.ShardConfig{
+		Shards:             cfg.Shards,
+		Sharing:            cfg.Sharing,
+		TotalCapacityPages: cfg.TotalCapacityPages,
+		NewPolicy:          cfg.NewPolicy,
+		NewDevice:          cfg.NewDevice,
+		TenantBoundaries:   cfg.TenantBoundaries,
+		TenantRegionPages:  cfg.TenantRegionPages,
+		BackPressureDepth:  cfg.BackPressureDepth,
+		Engine:             sim.Config{GCBudgetNs: cfg.GCBudgetNs},
+	})
+	if err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
 	if cfg.QueueDepth == 0 {
 		cfg.QueueDepth = defaultQueueDepth
@@ -308,7 +293,10 @@ func New(cfg Config) (*Server, error) {
 		cfg.MaxWaitNs = cfg.DefaultDeadlineNs
 	}
 
-	srv := &Server{cfg: cfg, met: newInstruments(cfg.Telemetry), fr: cfg.FlightRecorder}
+	srv := &Server{
+		cfg: cfg, met: newInstruments(cfg.Telemetry), fr: cfg.FlightRecorder,
+		logical: built[0].Device.LogicalPages(),
+	}
 	if cfg.Now != nil {
 		srv.now = cfg.Now
 	} else {
@@ -321,48 +309,22 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Telemetry != nil {
 		hook = cfg.Telemetry.ShardObservers(cfg.Shards)
 	}
-	for k := 0; k < cfg.Shards; k++ {
-		capPages, quota := sim.ShardQuota(cfg.Sharing, cfg.TotalCapacityPages, cfg.Shards, k)
-		pol := cfg.NewPolicy(k, capPages)
-		dev, err := cfg.NewDevice(k)
-		if err != nil {
-			return nil, fmt.Errorf("serve: shard %d device: %w", k, err)
-		}
-		if cfg.BackPressureDepth > 0 {
-			dev.SetBackPressure(cfg.BackPressureDepth)
-		}
-		if srv.logical == 0 {
-			srv.logical = dev.LogicalPages()
-		} else if dev.LogicalPages() != srv.logical {
-			return nil, fmt.Errorf("serve: shard %d logical size %d differs from shard 0's %d",
-				k, dev.LogicalPages(), srv.logical)
-		}
+	for k, b := range built {
 		window := int64(cfg.WriteWindowPages)
 		if window == 0 {
-			ref := capPages
-			if quota > 0 {
-				ref = quota
-			}
-			window = int64(ref) + int64(ref)/2
-		}
-		if window < 1 {
-			window = 1
-		}
-		ecfg := cfg.Engine
-		if cfg.Sharing == sim.SharingShared {
-			ecfg.SoftQuotaPages = quota
+			window = int64(b.CapacityPages) + int64(b.CapacityPages)/2
 		}
 		s := &shard{
 			id:     k,
 			srv:    srv,
-			pol:    pol,
-			dev:    dev,
+			pol:    b.Policy,
+			dev:    b.Device,
 			queue:  make(chan *work, cfg.QueueDepth),
 			window: window,
 		}
 		s.cond = sync.NewCond(&s.mu)
-		s.idler, _ = pol.(cache.IdleEvictor)
-		s.eng = sim.New(&liveSource{s: s, name: fmt.Sprintf("serve-shard%d", k)}, pol, dev, ecfg)
+		s.idler, _ = b.Policy.(cache.IdleEvictor)
+		s.eng = sim.New(&liveSource{s: s, name: fmt.Sprintf("serve-shard%d", k)}, b.Policy, b.Device, b.Engine)
 		s.eng.Observe(&shardObserver{s: s})
 		if hook != nil {
 			s.eng.Observe(hook(k, s.eng)...)

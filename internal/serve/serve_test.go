@@ -232,28 +232,24 @@ func TestServeRejectsWhenQueueFull(t *testing.T) {
 }
 
 // TestServeValidation pins the front-door input contract and the
-// contradictory-config rejections.
+// admission-parameter rejections. Topology rules live in sim's
+// TestBuildShardsValidation; the first row here, a policy constructor
+// that returns nil, shows the builder's errors reach New's caller.
 func TestServeValidation(t *testing.T) {
 	leakcheck.Check(t)
-	bad := []serve.Config{
-		{Shards: 0, TotalCapacityPages: 8, NewPolicy: lruPolicy, NewDevice: testDevice},
-		{Shards: 2, TotalCapacityPages: 1, NewPolicy: lruPolicy, NewDevice: testDevice},
-		{Shards: 1, TotalCapacityPages: 8, NewDevice: testDevice},
-		{Shards: 1, TotalCapacityPages: 8, NewPolicy: lruPolicy},
-		{Shards: 1, TotalCapacityPages: 8, NewPolicy: lruPolicy, NewDevice: testDevice,
-			TenantRegionPages: -1},
-		{Shards: 1, TotalCapacityPages: 8, NewPolicy: lruPolicy, NewDevice: testDevice,
-			TenantRegionPages: 64, TenantBoundaries: []int64{100}},
-		{Shards: 2, TotalCapacityPages: 8, NewPolicy: lruPolicy, NewDevice: testDevice,
-			TenantBoundaries: []int64{200, 100}},
-		{Shards: 2, TotalCapacityPages: 8, NewPolicy: lruPolicy, NewDevice: testDevice,
-			TenantBoundaries: []int64{-5, 100}},
-		{Shards: 1, TotalCapacityPages: 8, NewPolicy: lruPolicy, NewDevice: testDevice,
-			QueueDepth: -1},
-		{Shards: 1, TotalCapacityPages: 8, NewPolicy: lruPolicy, NewDevice: testDevice,
-			DefaultDeadlineNs: -1},
+	valid := func() serve.Config {
+		return serve.Config{Shards: 1, TotalCapacityPages: 8, NewPolicy: lruPolicy, NewDevice: testDevice}
 	}
-	for i, cfg := range bad {
+	bad := []func(*serve.Config){
+		func(c *serve.Config) { c.NewPolicy = func(int, int) cache.Policy { return nil } },
+		func(c *serve.Config) { c.QueueDepth = -1 },
+		func(c *serve.Config) { c.WriteWindowPages = -1 },
+		func(c *serve.Config) { c.DefaultDeadlineNs = -1 },
+		func(c *serve.Config) { c.MaxWaitNs = -1 },
+	}
+	for i, mutate := range bad {
+		cfg := valid()
+		mutate(&cfg)
 		if _, err := serve.New(cfg); err == nil {
 			t.Errorf("config %d: accepted, want error", i)
 		}
@@ -360,4 +356,45 @@ func (g *gatePolicy) open() {
 		close(g.gate)
 	}
 	g.mu.Unlock()
+}
+
+// TestServeGCBudgetPlainDevices pins that Config.GCBudgetNs alone turns on
+// queue-empty GC: the devices are built without Params.GCSched, and the
+// shard build must enable the scheduler so the budgeted slices collect
+// victims on the nearly full devices.
+func TestServeGCBudgetPlainDevices(t *testing.T) {
+	leakcheck.Check(t)
+	clock := &fakeClock{}
+	srv, err := serve.New(serve.Config{
+		Shards: 2, Sharing: sim.SharingShared, TotalCapacityPages: 256,
+		DefaultDeadlineNs: int64(time.Hour),
+		// One full collection (copies plus the 15 ms erase) fits a slice.
+		GCBudgetNs: 30_000_000,
+		NewPolicy:  lruPolicy,
+		NewDevice: func(int) (*ssd.Device, error) {
+			p := ssd.DefaultParams()
+			p.Flash.BlocksPerPlane = 512
+			p.Flash.PagesPerBlock = 16
+			p.Precondition = 0.9
+			return ssd.New(p)
+		},
+		Now: clock.Now,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for i := 0; i < 2000; i++ {
+		clock.Advance(int64(40 * time.Millisecond))
+		lpn := int64(i*7919) % 100_000
+		if _, err := srv.Submit(serve.Op{Write: true, LPN: lpn, Pages: 4}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := srv.Stats()
+	t.Logf("gc slices %d, victims %d", st.GCSlices, st.GCVictims)
+	if st.GCSlices == 0 || st.GCVictims == 0 {
+		t.Fatalf("GC budget over plain devices: %d slices, %d victims, want both > 0",
+			st.GCSlices, st.GCVictims)
+	}
 }

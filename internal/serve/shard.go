@@ -272,7 +272,7 @@ func (ls *liveSource) Next() (trace.Request, bool) {
 		s.pace()
 		var w *work
 		var ok bool
-		if b := s.srv.cfg.GCBudgetNs; b > 0 && s.dev.GCSchedEnabled() {
+		if b := s.srv.cfg.GCBudgetNs; b > 0 {
 			select {
 			case w, ok = <-s.queue:
 			default:

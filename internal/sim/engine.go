@@ -66,9 +66,9 @@ type Config struct {
 	// SoftQuotaPages, when positive, drains victim batches (IdleEvictor
 	// policies) after any request that leaves more than this many pages
 	// buffered. The sharded engine uses it for SHARED-mode partitions: a
-	// shard may borrow past its slice of the global capacity, but the
-	// overflow is destaged right away, so the borrow stays transient.
-	// Zero disables.
+	// shard may borrow past its slice of the global capacity, and the
+	// overflow is destaged right away, as far as the policy's EvictIdle
+	// nominates victims. Zero disables.
 	SoftQuotaPages int
 }
 

@@ -44,9 +44,11 @@ type SharingMode uint8
 
 const (
 	// SharingShared gives every shard the full global capacity with a
-	// per-shard soft quota of capacity/N: a shard may transiently borrow
-	// past its slice, but the engine destages the overflow immediately
-	// (Config.SoftQuotaPages), so the global footprint stays bounded.
+	// per-shard soft quota of capacity/N: a shard may borrow past its
+	// slice, and the engine destages the overflow after each request
+	// (Config.SoftQuotaPages). The drain goes only as far as the policy's
+	// idle evictor will (cache.IdleEvictor), so the global footprint can
+	// exceed the capacity.
 	SharingShared SharingMode = iota
 	// SharingEqual hard-partitions the capacity into N equal slices
 	// (MQSim's EQUAL_PARTITIONING).
@@ -523,40 +525,10 @@ func NewSharded(src trace.Source, cfg ShardConfig) (*ShardedEngine, error) {
 // forces the splitter/relay/merger even for one shard, so tests can hold
 // the direct path to the pipeline's event stream.
 func newSharded(src trace.Source, cfg ShardConfig, pipeline bool) (*ShardedEngine, error) {
-	if cfg.Shards < 1 {
-		return nil, fmt.Errorf("sim: shards %d, need >= 1", cfg.Shards)
+	built, err := BuildShards(cfg)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.NewPolicy == nil || cfg.NewDevice == nil {
-		return nil, fmt.Errorf("sim: sharded config needs NewPolicy and NewDevice")
-	}
-	if cfg.TotalCapacityPages < cfg.Shards {
-		return nil, fmt.Errorf("sim: capacity %d pages across %d shards leaves empty shards",
-			cfg.TotalCapacityPages, cfg.Shards)
-	}
-	if cfg.BackPressureDepth < 0 {
-		return nil, fmt.Errorf("sim: back-pressure depth %d is negative (0 disables)", cfg.BackPressureDepth)
-	}
-	if cfg.StopAfterRequests < 0 {
-		return nil, fmt.Errorf("sim: stop-after %d is negative (0 disables)", cfg.StopAfterRequests)
-	}
-	if cfg.TenantRegionPages < 0 {
-		return nil, fmt.Errorf("sim: tenant region %d pages is negative (0 selects the default)", cfg.TenantRegionPages)
-	}
-	// Region hashing and explicit boundaries are competing routing schemes;
-	// configuring both means one of them is silently dead — reject instead.
-	if cfg.TenantRegionPages > 0 && len(cfg.TenantBoundaries) > 0 {
-		return nil, fmt.Errorf("sim: tenant region pages (%d) conflicts with explicit tenant boundaries (%d): boundaries route, regions would be ignored",
-			cfg.TenantRegionPages, len(cfg.TenantBoundaries))
-	}
-	if cfg.TenantRegionPages == 0 {
-		cfg.TenantRegionPages = defaultTenantRegionPages
-	}
-	if !sort.SliceIsSorted(cfg.TenantBoundaries, func(i, j int) bool {
-		return cfg.TenantBoundaries[i] < cfg.TenantBoundaries[j]
-	}) {
-		return nil, fmt.Errorf("sim: tenant boundaries must be sorted")
-	}
-
 	s := &ShardedEngine{
 		src: src, cfg: cfg,
 		direct:  cfg.Shards == 1 && !pipeline,
@@ -567,7 +539,60 @@ func newSharded(src trace.Source, cfg ShardConfig, pipeline bool) (*ShardedEngin
 		queues:  make([]*shardQueue, cfg.Shards),
 		bl:      newBacklog(cfg.Shards * backlogPerShard),
 	}
-	for k := 0; k < cfg.Shards; k++ {
+	for k, sh := range built {
+		s.pols[k], s.devs[k] = sh.Policy, sh.Device
+		if s.direct {
+			// runDirect binds the read-ahead source and the merged-stream
+			// observers.
+			s.engines[k] = New(nil, sh.Policy, sh.Device, sh.Engine)
+		} else {
+			// Warmth is an ordinal property of the global stream; the relay
+			// rewrites it, so the shard engine itself never marks cold.
+			ecfg := sh.Engine
+			ecfg.WarmupRequests = 0
+			relay := &shardRelay{
+				out:    make(chan *eventBatch, outChanCap),
+				free:   make(chan *eventBatch, outChanCap+2),
+				warmup: cfg.Engine.WarmupRequests,
+			}
+			if cfg.CaptureOccupancy {
+				relay.sampler, _ = sh.Policy.(cache.OccupancySampler)
+			}
+			srcK := &shardSource{name: src.Name(), q: newShardQueue(), bl: s.bl, relay: relay}
+			relay.src = srcK
+			s.engines[k], s.relays[k], s.queues[k] = New(srcK, sh.Policy, sh.Device, ecfg), relay, srcK.q
+			s.engines[k].Observe(relay)
+		}
+		if cfg.ShardObservers != nil {
+			s.engines[k].Observe(cfg.ShardObservers(k, s.engines[k])...)
+		}
+	}
+	return s, nil
+}
+
+// Shard is one built partition of a sharded topology.
+type Shard struct {
+	Policy cache.Policy
+	Device *ssd.Device
+	// CapacityPages is the capacity Policy was built with: the whole
+	// buffer under SHARED, an equal slice under EQUAL.
+	CapacityPages int
+	// Engine is ShardConfig.Engine with the shard's soft quota set.
+	Engine Config
+}
+
+// BuildShards validates a shard topology and builds every shard's policy
+// and device, in shard order. It applies back-pressure, enables the GC
+// scheduler on devices that lack it when Engine.GCBudgetNs is positive,
+// and sets the SHARED soft quota (none for a single shard, which holds the
+// whole capacity). It is the one shard build behind both the sharded
+// replay (NewSharded) and the service front-end (serve.New).
+func BuildShards(cfg ShardConfig) ([]Shard, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	shards := make([]Shard, cfg.Shards)
+	for k := range shards {
 		capPages, quota := ShardQuota(cfg.Sharing, cfg.TotalCapacityPages, cfg.Shards, k)
 		pol := cfg.NewPolicy(k, capPages)
 		if pol == nil {
@@ -576,6 +601,12 @@ func newSharded(src trace.Source, cfg ShardConfig, pipeline bool) (*ShardedEngin
 		dev, err := cfg.NewDevice(k)
 		if err != nil {
 			return nil, fmt.Errorf("sim: shard %d device: %w", k, err)
+		}
+		// Routing sends every LPN to one shard's device, so the shards must
+		// agree on the logical space the front-ends bound requests by.
+		if k > 0 && dev.LogicalPages() != shards[0].Device.LogicalPages() {
+			return nil, fmt.Errorf("sim: shard %d logical size %d differs from shard 0's %d",
+				k, dev.LogicalPages(), shards[0].Device.LogicalPages())
 		}
 		if cfg.BackPressureDepth > 0 {
 			dev.SetBackPressure(cfg.BackPressureDepth)
@@ -589,33 +620,46 @@ func newSharded(src trace.Source, cfg ShardConfig, pipeline bool) (*ShardedEngin
 		if cfg.Sharing == SharingShared && cfg.Shards > 1 {
 			ecfg.SoftQuotaPages = quota
 		}
-		s.pols[k], s.devs[k] = pol, dev
-		if s.direct {
-			// runDirect binds the read-ahead source and the merged-stream
-			// observers.
-			s.engines[k] = New(nil, pol, dev, ecfg)
-		} else {
-			// Warmth is an ordinal property of the global stream; the relay
-			// rewrites it, so the shard engine itself never marks cold.
-			ecfg.WarmupRequests = 0
-			relay := &shardRelay{
-				out:    make(chan *eventBatch, outChanCap),
-				free:   make(chan *eventBatch, outChanCap+2),
-				warmup: cfg.Engine.WarmupRequests,
-			}
-			if cfg.CaptureOccupancy {
-				relay.sampler, _ = pol.(cache.OccupancySampler)
-			}
-			srcK := &shardSource{name: src.Name(), q: newShardQueue(), bl: s.bl, relay: relay}
-			relay.src = srcK
-			s.engines[k], s.relays[k], s.queues[k] = New(srcK, pol, dev, ecfg), relay, srcK.q
-			s.engines[k].Observe(relay)
-		}
-		if cfg.ShardObservers != nil {
-			s.engines[k].Observe(cfg.ShardObservers(k, s.engines[k])...)
-		}
+		shards[k] = Shard{Policy: pol, Device: dev, CapacityPages: capPages, Engine: ecfg}
 	}
-	return s, nil
+	return shards, nil
+}
+
+// validate rejects a topology BuildShards cannot build, or one that would
+// silently misbehave.
+func (cfg *ShardConfig) validate() error {
+	switch {
+	case cfg.Shards < 1:
+		return fmt.Errorf("sim: shards %d, need >= 1", cfg.Shards)
+	case cfg.NewPolicy == nil || cfg.NewDevice == nil:
+		return fmt.Errorf("sim: sharded config needs NewPolicy and NewDevice")
+	case cfg.TotalCapacityPages < cfg.Shards:
+		return fmt.Errorf("sim: capacity %d pages across %d shards leaves empty shards",
+			cfg.TotalCapacityPages, cfg.Shards)
+	case cfg.BackPressureDepth < 0:
+		return fmt.Errorf("sim: back-pressure depth %d is negative (0 disables)", cfg.BackPressureDepth)
+	case cfg.Engine.GCBudgetNs < 0:
+		return fmt.Errorf("sim: GC budget %d ns is negative (0 disables)", cfg.Engine.GCBudgetNs)
+	case cfg.StopAfterRequests < 0:
+		return fmt.Errorf("sim: stop-after %d is negative (0 disables)", cfg.StopAfterRequests)
+	case cfg.TenantRegionPages < 0:
+		return fmt.Errorf("sim: tenant region %d pages is negative (0 selects the default)", cfg.TenantRegionPages)
+	// Region hashing and explicit boundaries are competing routing schemes;
+	// configuring both means one of them is silently dead.
+	case cfg.TenantRegionPages > 0 && len(cfg.TenantBoundaries) > 0:
+		return fmt.Errorf("sim: tenant region pages (%d) conflicts with explicit tenant boundaries (%d): boundaries route, regions would be ignored",
+			cfg.TenantRegionPages, len(cfg.TenantBoundaries))
+	}
+	// RouteLPN binary-searches the boundaries, so unsorted or negative
+	// values would misroute instead of failing.
+	b := cfg.TenantBoundaries
+	if !sort.SliceIsSorted(b, func(i, j int) bool { return b[i] < b[j] }) {
+		return fmt.Errorf("sim: tenant boundaries must be sorted")
+	}
+	if len(b) > 0 && b[0] < 0 {
+		return fmt.Errorf("sim: negative tenant boundary %d", b[0])
+	}
+	return nil
 }
 
 // Observe registers merged-stream observers; they receive the merged
