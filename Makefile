@@ -1,15 +1,15 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all check fmt-check test race test-race race-sharded loc fuzz-smoke ssdcheck-quick ssdcheck-nightly soak-serve soak-gc obs-smoke perfbench-smoke bench bench-smoke bench-json bench-sharded bench-capacity bench-capacity-smoke bench-gc experiments experiments-full lint
+.PHONY: all check fmt-check test race test-race race-sharded loc report-check fuzz-smoke ssdcheck-quick ssdcheck-nightly soak-serve soak-gc obs-smoke perfbench-smoke bench bench-smoke bench-json bench-sharded bench-capacity bench-capacity-smoke bench-gc experiments experiments-full lint
 
 all: test
 
 # check is the full pre-merge gate: formatting, build + vet + tests, the
-# race detector over the whole tree, a short fuzz pass over the trace
-# parsers and differential targets, then the quick model-based
-# differential campaign (fast implementations vs paper-literal oracles;
-# see docs/TESTING.md).
-check: fmt-check test test-race race-sharded fuzz-smoke ssdcheck-quick
+# race detector over the whole tree, the paper's default report pinned bit
+# for bit, a short fuzz pass over the trace parsers and differential
+# targets, then the quick model-based differential campaign (fast
+# implementations vs paper-literal oracles; see docs/TESTING.md).
+check: fmt-check test test-race race-sharded report-check fuzz-smoke ssdcheck-quick
 
 # fmt-check fails (listing the offenders) when any file needs gofmt;
 # `gofmt -l` alone exits 0 even with findings, so wrap it.
@@ -44,6 +44,18 @@ loc:
 			[ -n "$$files" ] || continue; \
 			printf '%6d %s\n' "$$(cd "$$dir" && cat $$files | wc -l)" "$$pkg"; \
 		done | awk '{ print; total += $$1 } END { printf "%6d total\n", total }'
+
+# report-check rebuilds the default structured report (every table, figure
+# and extension; about 6 s on 2 vCPUs) and fails unless it is byte-identical
+# to results/report_default.json. The JSON is deterministic and writes each
+# float64 in its shortest exact form, so equal bytes mean equal bits. When a
+# change moves results on purpose, regenerate the file with
+#   go run ./cmd/experiments -json results/report_default.json
+# and name the moved figures in the change description.
+report-check:
+	tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT && \
+		go run ./cmd/experiments -json "$$tmp" >/dev/null && \
+		diff -u results/report_default.json "$$tmp"
 
 # soak-serve is the CI open-loop saturation soak: ssdload's generator
 # drives an in-process ssdserve through a ramp crossing saturation for
@@ -100,6 +112,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzParseTrace$$' -fuzztime 10s ./internal/trace
 	go test -run '^$$' -fuzz '^FuzzReadMSR$$' -fuzztime 10s ./internal/trace
 	go test -run '^$$' -fuzz '^FuzzPageSet$$' -fuzztime 10s ./internal/cache
+	go test -run '^$$' -fuzz '^FuzzPageIndex$$' -fuzztime 10s ./internal/cache
 	go test -run '^$$' -fuzz '^FuzzReqBlockOps$$' -fuzztime 10s ./internal/core
 	go test -run '^$$' -fuzz '^FuzzHTTPHandler$$' -fuzztime 10s ./internal/serve
 

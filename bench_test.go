@@ -682,6 +682,22 @@ func BenchmarkPolicyBPLRU(b *testing.B) {
 	benchPolicyAccess(b, func() cache.Policy { return cache.NewBPLRU(4096, 64) })
 }
 
+func BenchmarkPolicyFAB(b *testing.B) {
+	benchPolicyAccess(b, func() cache.Policy { return cache.NewFAB(4096, 64) })
+}
+
+func BenchmarkPolicyPUDLRU(b *testing.B) {
+	benchPolicyAccess(b, func() cache.Policy { return cache.NewPUDLRU(4096, 64) })
+}
+
+func BenchmarkPolicyECR(b *testing.B) {
+	benchPolicyAccess(b, func() cache.Policy { return cache.NewECR(4096, 8) })
+}
+
+func BenchmarkPolicyReadAhead(b *testing.B) {
+	benchPolicyAccess(b, func() cache.Policy { return cache.NewReadAhead(cache.NewLRU(4096), 1024, 8) })
+}
+
 func BenchmarkPolicyVBBMS(b *testing.B) {
 	benchPolicyAccess(b, func() cache.Policy { return cache.NewVBBMS(4096) })
 }

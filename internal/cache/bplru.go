@@ -30,8 +30,8 @@ type BPLRU struct {
 	pagesPerBlock int64
 	padding       bool
 	pageCount     int
-	blocks        map[int64]*list.Node[*bplruBlock]
-	order         list.List[*bplruBlock] // head = most recently written
+	blocks        PageIndex[list.Node[*bplruBlock]] // by block number
+	order         list.List[*bplruBlock]            // head = most recently written
 	buf           ResultBuffers
 	free          []*list.Node[*bplruBlock] // recycled block nodes
 }
@@ -46,7 +46,6 @@ func NewBPLRU(capacityPages, pagesPerBlock int) *BPLRU {
 	return &BPLRU{
 		capacity:      capacityPages,
 		pagesPerBlock: int64(pagesPerBlock),
-		blocks:        make(map[int64]*list.Node[*bplruBlock]),
 	}
 }
 
@@ -82,8 +81,8 @@ func (c *BPLRU) Access(req Request) Result {
 	lpn := req.LPN
 	for i := 0; i < req.Pages; i++ {
 		blockID := lpn / c.pagesPerBlock
-		n, ok := c.blocks[blockID]
-		if ok && n.Value.pages.has(lpn) {
+		n := c.blocks.Get(blockID)
+		if n != nil && n.Value.pages.has(lpn) {
 			res.Hits++
 			if req.Write {
 				c.noteWrite(n, lpn)
@@ -94,11 +93,10 @@ func (c *BPLRU) Access(req Request) Result {
 				for c.pageCount >= c.capacity {
 					c.buf.Evictions = append(c.buf.Evictions, c.evictTail())
 				}
-				n, ok = c.blocks[blockID] // may have been evicted making room
-				if !ok {
+				if n = c.blocks.Get(blockID); n == nil { // may have been evicted making room
 					n = c.newBlock(blockID)
 					c.order.PushHead(n)
-					c.blocks[blockID] = n
+					c.blocks.Put(blockID, n)
 				}
 				n.Value.pages.add(lpn)
 				c.pageCount++
@@ -161,7 +159,7 @@ func (c *BPLRU) evictTail() Eviction {
 		panic("cache: BPLRU evict on empty buffer")
 	}
 	b := n.Value
-	delete(c.blocks, b.blockID)
+	c.blocks.Delete(b.blockID)
 	c.pageCount -= b.pages.len()
 	c.free = append(c.free, n)
 
@@ -192,8 +190,8 @@ func (c *BPLRU) evictTail() Eviction {
 
 // Contains reports whether a page is buffered (tests).
 func (c *BPLRU) Contains(lpn int64) bool {
-	n, ok := c.blocks[lpn/c.pagesPerBlock]
-	return ok && n.Value.pages.has(lpn)
+	n := c.blocks.Get(lpn / c.pagesPerBlock)
+	return n != nil && n.Value.pages.has(lpn)
 }
 
 // EvictIdle implements cache.IdleEvictor: during idle time (or a periodic

@@ -2,10 +2,13 @@ package cache
 
 import "repro/internal/list"
 
-// cflruEntry is one cached page with its dirty state.
+// cflruEntry is one cached page with its dirty state. stamp is the page's
+// position in the overall LRU order: a global counter taken each time the
+// page moves to the head, so older pages carry smaller stamps.
 type cflruEntry struct {
 	lpn   int64
 	dirty bool
+	stamp uint64
 }
 
 // CFLRU is the clean-first LRU of Park et al. (CASES'06): an LRU list whose
@@ -15,12 +18,28 @@ type cflruEntry struct {
 // data too (clean pages are where its advantage comes from); construct with
 // NewCFLRUWriteOnly to disable that and make it directly comparable to the
 // other baselines.
+//
+// The LRU list is kept as two, one per dirty state, whose merge by stamp
+// is the paper's single list. The scan's answer is the oldest clean page
+// when fewer than window dirty pages are older than it, and the overall
+// tail (the oldest dirty page) otherwise. behind counts those older dirty
+// pages and edge is the youngest of them; both are maintained as pages
+// move, so an eviction costs O(1) amortized instead of a window walk.
 type CFLRU struct {
 	capacity    int
 	window      int // clean-first region length in pages
 	insertReads bool
-	pages       map[int64]*list.Node[cflruEntry]
-	order       list.List[cflruEntry]
+	pages       PageIndex[list.Node[cflruEntry]]
+	clean       list.List[cflruEntry]
+	dirty       list.List[cflruEntry]
+	stamp       uint64
+	// edge is the youngest dirty page older than the oldest clean page
+	// (every dirty page when none is clean), nil if there is none; behind
+	// counts the dirty pages from the dirty tail up to edge.
+	edge   *list.Node[cflruEntry]
+	behind int
+	buf    ResultBuffers
+	free   []*list.Node[cflruEntry] // recycled nodes; steady state allocates none
 }
 
 // NewCFLRU returns a CFLRU buffer whose clean-first region is half the
@@ -50,7 +69,6 @@ func NewCFLRUWindow(capacityPages, window int, insertReads bool) *CFLRU {
 		capacity:    capacityPages,
 		window:      window,
 		insertReads: insertReads,
-		pages:       make(map[int64]*list.Node[cflruEntry], capacityPages),
 	}
 }
 
@@ -58,7 +76,7 @@ func NewCFLRUWindow(capacityPages, window int, insertReads bool) *CFLRU {
 func (c *CFLRU) Name() string { return "CFLRU" }
 
 // Len implements Policy.
-func (c *CFLRU) Len() int { return len(c.pages) }
+func (c *CFLRU) Len() int { return c.pages.Len() }
 
 // CapacityPages implements Policy.
 func (c *CFLRU) CapacityPages() int { return c.capacity }
@@ -68,94 +86,129 @@ func (c *CFLRU) CapacityPages() int { return c.capacity }
 func (c *CFLRU) NodeBytes() int { return 13 }
 
 // NodeCount implements Policy.
-func (c *CFLRU) NodeCount() int { return c.order.Len() }
+func (c *CFLRU) NodeCount() int { return c.pages.Len() }
 
 // Access implements Policy.
 func (c *CFLRU) Access(req Request) Result {
 	CheckRequest(req)
+	c.buf.Reset()
 	var res Result
 	lpn := req.LPN
 	for i := 0; i < req.Pages; i++ {
-		if n, ok := c.pages[lpn]; ok {
+		if n := c.pages.Get(lpn); n != nil {
 			res.Hits++
-			if req.Write {
-				n.Value.dirty = true
-			}
-			c.order.MoveToHead(n)
+			// A hit moves the page to the head; a write dirties it.
+			c.unlink(n)
+			c.pushHead(n, n.Value.dirty || req.Write)
 		} else {
 			res.Misses++
 			switch {
 			case req.Write:
-				c.makeRoom(&res)
 				c.insert(lpn, true)
 				res.Inserted++
 			case c.insertReads:
-				res.ReadMisses = append(res.ReadMisses, lpn)
-				c.makeRoom(&res)
+				c.buf.Reads = append(c.buf.Reads, lpn)
 				c.insert(lpn, false)
 				res.Inserted++
 			default:
-				res.ReadMisses = append(res.ReadMisses, lpn)
+				c.buf.Reads = append(c.buf.Reads, lpn)
 			}
 		}
 		lpn++
 	}
+	c.buf.Finish(&res)
 	return res
 }
 
+// insert makes room, then buffers a page on a recycled node.
 func (c *CFLRU) insert(lpn int64, dirty bool) {
-	n := &list.Node[cflruEntry]{Value: cflruEntry{lpn: lpn, dirty: dirty}}
-	c.order.PushHead(n)
-	c.pages[lpn] = n
-}
-
-func (c *CFLRU) makeRoom(res *Result) {
-	for len(c.pages) >= c.capacity {
-		res.Evictions = append(res.Evictions, c.evictOne())
+	for c.pages.Len() >= c.capacity {
+		c.buf.Evictions = append(c.buf.Evictions, c.evictOne())
 	}
+	var n *list.Node[cflruEntry]
+	if k := len(c.free); k > 0 {
+		n, c.free = c.free[k-1], c.free[:k-1]
+	} else {
+		n = &list.Node[cflruEntry]{}
+	}
+	n.Value.lpn = lpn
+	c.pushHead(n, dirty)
+	c.pages.Put(lpn, n)
 }
 
-// evictOne prefers the least recently used clean page within the
-// clean-first window; failing that it flushes the dirty LRU tail.
-func (c *CFLRU) evictOne() Eviction {
-	scanned := 0
-	for n := c.order.Tail(); n != nil && scanned < c.window; n = n.Prev() {
-		if !n.Value.dirty {
-			lpn := n.Value.lpn
-			c.order.Remove(n)
-			delete(c.pages, lpn)
-			return Eviction{LPNs: []int64{lpn}, CleanDrop: true}
+// pushHead makes a detached page the most recently used one.
+func (c *CFLRU) pushHead(n *list.Node[cflruEntry], dirty bool) {
+	c.stamp++
+	n.Value.stamp = c.stamp
+	n.Value.dirty = dirty
+	if dirty {
+		c.dirty.PushHead(n)
+	} else {
+		c.clean.PushHead(n)
+	}
+	c.advanceEdge()
+}
+
+// unlink detaches a page from its list, keeping edge and behind exact.
+func (c *CFLRU) unlink(n *list.Node[cflruEntry]) {
+	if !n.Value.dirty {
+		c.clean.Remove(n)
+		c.advanceEdge() // the oldest clean page may have changed
+		return
+	}
+	if c.edge != nil && n.Value.stamp <= c.edge.Value.stamp {
+		c.behind--
+		if n == c.edge {
+			c.edge = n.Next()
 		}
-		scanned++
 	}
-	n := c.order.PopTail()
-	if n == nil {
+	c.dirty.Remove(n)
+}
+
+// advanceEdge moves edge toward the head over every dirty page older than
+// the oldest clean page. Each dirty page is passed at most once between
+// two moves of its own, so the walk is O(1) amortized.
+func (c *CFLRU) advanceEdge() {
+	next := c.dirty.Tail()
+	if c.edge != nil {
+		next = c.edge.Prev()
+	}
+	oldestClean := c.clean.Tail()
+	for next != nil && (oldestClean == nil || next.Value.stamp < oldestClean.Value.stamp) {
+		c.edge = next
+		c.behind++
+		next = next.Prev()
+	}
+}
+
+// evictOne drops the least recently used clean page if it lies within the
+// clean-first window (fewer than window dirty pages are older), and
+// otherwise flushes the LRU tail, which is then dirty.
+func (c *CFLRU) evictOne() Eviction {
+	victim := c.dirty.Tail()
+	if c.clean.Len() > 0 && c.behind < c.window {
+		victim = c.clean.Tail()
+	}
+	if victim == nil {
 		panic("cache: CFLRU evict on empty list")
 	}
-	delete(c.pages, n.Value.lpn)
-	return Eviction{LPNs: []int64{n.Value.lpn}}
+	c.unlink(victim)
+	c.pages.Delete(victim.Value.lpn)
+	c.free = append(c.free, victim)
+	mark := c.buf.Mark()
+	c.buf.LPNs = append(c.buf.LPNs, victim.Value.lpn)
+	return Eviction{LPNs: c.buf.Carve(mark), CleanDrop: !victim.Value.dirty}
 }
 
 // DirtyPages implements cache.DirtyPager: CFLRU is the one baseline that
 // buffers clean read data, so its crash loss is smaller than Len().
-func (c *CFLRU) DirtyPages() int {
-	dirty := 0
-	for n := c.order.Head(); n != nil; n = n.Next() {
-		if n.Value.dirty {
-			dirty++
-		}
-	}
-	return dirty
-}
+func (c *CFLRU) DirtyPages() int { return c.dirty.Len() }
 
 // Dirty reports whether a buffered page is dirty (tests).
 func (c *CFLRU) Dirty(lpn int64) bool {
-	n, ok := c.pages[lpn]
-	return ok && n.Value.dirty
+	n := c.pages.Get(lpn)
+	return n != nil && n.Value.dirty
 }
 
 // Contains reports whether a page is buffered (tests).
-func (c *CFLRU) Contains(lpn int64) bool {
-	_, ok := c.pages[lpn]
-	return ok
-}
+func (c *CFLRU) Contains(lpn int64) bool { return c.pages.Get(lpn) != nil }

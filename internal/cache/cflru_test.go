@@ -1,6 +1,9 @@
 package cache
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 func TestCFLRUPrefersCleanVictim(t *testing.T) {
 	c := NewCFLRUWindow(4, 4, true)
@@ -98,5 +101,87 @@ func TestCFLRUWindowClamping(t *testing.T) {
 	c = NewCFLRUWindow(4, 0, true)
 	if c.window != 1 {
 		t.Fatalf("window floor wrong: %d", c.window)
+	}
+}
+
+// scanCFLRU is CFLRU as the paper states it: one LRU slice (index 0 =
+// most recent) whose last window entries are scanned from the tail for a
+// clean page before the dirty tail is flushed.
+type scanCFLRU struct {
+	capacity, window int
+	insertReads      bool
+	lpns             []int64
+	dirty            []bool
+}
+
+func (m *scanCFLRU) access(req Request) (evicted []int64, clean []bool) {
+	for lpn := req.LPN; lpn < req.LPN+int64(req.Pages); lpn++ {
+		at := -1
+		for i, p := range m.lpns {
+			if p == lpn {
+				at = i
+			}
+		}
+		dirty := req.Write
+		if at >= 0 {
+			dirty = dirty || m.dirty[at]
+			m.lpns = append(m.lpns[:at], m.lpns[at+1:]...)
+			m.dirty = append(m.dirty[:at], m.dirty[at+1:]...)
+		} else if !req.Write && !m.insertReads {
+			continue
+		} else {
+			for len(m.lpns) >= m.capacity {
+				v := len(m.lpns) - 1
+				for i := v; i >= 0 && i >= len(m.lpns)-m.window; i-- {
+					if !m.dirty[i] {
+						v = i
+						break
+					}
+				}
+				evicted, clean = append(evicted, m.lpns[v]), append(clean, !m.dirty[v])
+				m.lpns = append(m.lpns[:v], m.lpns[v+1:]...)
+				m.dirty = append(m.dirty[:v], m.dirty[v+1:]...)
+			}
+		}
+		m.lpns = append([]int64{lpn}, m.lpns...)
+		m.dirty = append([]bool{dirty}, m.dirty...)
+	}
+	return evicted, clean
+}
+
+// TestCFLRUMatchesWindowScan diffs CFLRU's O(1) victim choice against the
+// literal window scan across windows from one page to the whole buffer.
+func TestCFLRUMatchesWindowScan(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		capacity := 1 + rng.Intn(48)
+		window := 1 + rng.Intn(capacity)
+		insertReads := seed%4 != 0
+		c := NewCFLRUWindow(capacity, window, insertReads)
+		m := &scanCFLRU{capacity: capacity, window: window, insertReads: insertReads}
+		for i := 0; i < 600; i++ {
+			req := Request{Time: int64(i), Write: rng.Intn(2) == 0, LPN: rng.Int63n(96), Pages: 1 + rng.Intn(6)}
+			res := c.Access(req)
+			evicted, clean := m.access(req)
+			if len(res.Evictions) != len(evicted) {
+				t.Fatalf("seed %d req %d: %d evictions, scan made %d", seed, i, len(res.Evictions), len(evicted))
+			}
+			for k, ev := range res.Evictions {
+				if ev.LPNs[0] != evicted[k] || ev.CleanDrop != clean[k] {
+					t.Fatalf("seed %d req %d: evicted %d (clean %v), scan chose %d (clean %v)",
+						seed, i, ev.LPNs[0], ev.CleanDrop, evicted[k], clean[k])
+				}
+			}
+			dirty := 0
+			for _, d := range m.dirty {
+				if d {
+					dirty++
+				}
+			}
+			if c.Len() != len(m.lpns) || c.DirtyPages() != dirty {
+				t.Fatalf("seed %d req %d: %d pages (%d dirty), scan holds %d (%d dirty)",
+					seed, i, c.Len(), c.DirtyPages(), len(m.lpns), dirty)
+			}
+		}
 	}
 }

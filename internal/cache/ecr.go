@@ -26,10 +26,9 @@ type ECR struct {
 	capacity int
 	channels int
 	view     DeviceView
-	pages    map[int64]*list.Node[lruEntry]
+	pages    PageIndex[list.Node[lruEntry]]
 	order    []list.List[lruEntry] // one LRU list per channel
 	rr       int                   // fallback victim channel without a view
-	count    int
 
 	buf      ResultBuffers
 	free     []*list.Node[lruEntry] // recycled page nodes
@@ -46,7 +45,6 @@ func NewECR(capacityPages, channels int) *ECR {
 	return &ECR{
 		capacity: capacityPages,
 		channels: channels,
-		pages:    make(map[int64]*list.Node[lruEntry], capacityPages),
 		order:    make([]list.List[lruEntry], channels),
 		scoreBuf: make([]int64, channels),
 	}
@@ -59,7 +57,7 @@ func (c *ECR) AttachDevice(v DeviceView) { c.view = v }
 func (c *ECR) Name() string { return "ECR" }
 
 // Len implements Policy.
-func (c *ECR) Len() int { return c.count }
+func (c *ECR) Len() int { return c.pages.Len() }
 
 // CapacityPages implements Policy.
 func (c *ECR) CapacityPages() int { return c.capacity }
@@ -68,7 +66,7 @@ func (c *ECR) CapacityPages() int { return c.capacity }
 func (c *ECR) NodeBytes() int { return 13 }
 
 // NodeCount implements Policy.
-func (c *ECR) NodeCount() int { return c.count }
+func (c *ECR) NodeCount() int { return c.pages.Len() }
 
 // VictimScanCost implements VictimScanReporter.
 func (c *ECR) VictimScanCost() int64 { return c.scanCost }
@@ -83,19 +81,18 @@ func (c *ECR) Access(req Request) Result {
 	var res Result
 	lpn := req.LPN
 	for i := 0; i < req.Pages; i++ {
-		if n, ok := c.pages[lpn]; ok {
+		if n := c.pages.Get(lpn); n != nil {
 			res.Hits++
 			c.order[c.channelOf(lpn)].MoveToHead(n)
 		} else {
 			res.Misses++
 			if req.Write {
-				for c.count >= c.capacity {
+				for c.pages.Len() >= c.capacity {
 					c.buf.Evictions = append(c.buf.Evictions, c.evict(req.Time))
 				}
 				n := c.newNode(lpn)
 				c.order[c.channelOf(lpn)].PushHead(n)
-				c.pages[lpn] = n
-				c.count++
+				c.pages.Put(lpn, n)
 				res.Inserted++
 			} else {
 				c.buf.Reads = append(c.buf.Reads, lpn)
@@ -161,8 +158,7 @@ func (c *ECR) evict(now int64) Eviction {
 		panic("cache: ECR evict on empty buffer")
 	}
 	n := c.order[victimCh].PopTail()
-	delete(c.pages, n.Value.lpn)
-	c.count--
+	c.pages.Delete(n.Value.lpn)
 	mark := c.buf.Mark()
 	c.buf.LPNs = append(c.buf.LPNs, n.Value.lpn)
 	lpns := c.buf.Carve(mark)
@@ -171,10 +167,7 @@ func (c *ECR) evict(now int64) Eviction {
 }
 
 // Contains reports whether a page is buffered (tests).
-func (c *ECR) Contains(lpn int64) bool {
-	_, ok := c.pages[lpn]
-	return ok
-}
+func (c *ECR) Contains(lpn int64) bool { return c.pages.Get(lpn) != nil }
 
 var (
 	_ Policy             = (*ECR)(nil)

@@ -34,8 +34,8 @@ type FAB struct {
 	capacity      int
 	pagesPerBlock int64
 	pageCount     int
-	groups        map[int64]*list.Node[*fabGroup]
-	order         list.List[*fabGroup] // insertion order; linear mode scans it
+	groups        PageIndex[list.Node[*fabGroup]] // by block number
+	order         list.List[*fabGroup]            // insertion order; linear mode scans it
 	buf           ResultBuffers
 	free          []*list.Node[*fabGroup] // recycled group nodes
 
@@ -55,7 +55,6 @@ func NewFAB(capacityPages int, pagesPerBlock int) *FAB {
 	return &FAB{
 		capacity:      capacityPages,
 		pagesPerBlock: int64(pagesPerBlock),
-		groups:        make(map[int64]*list.Node[*fabGroup]),
 	}
 }
 
@@ -101,8 +100,8 @@ func (c *FAB) Access(req Request) Result {
 	lpn := req.LPN
 	for i := 0; i < req.Pages; i++ {
 		blockID := lpn / c.pagesPerBlock
-		g, ok := c.groups[blockID]
-		if ok && g.Value.pages.has(lpn) {
+		g := c.groups.Get(blockID)
+		if g != nil && g.Value.pages.has(lpn) {
 			res.Hits++
 		} else {
 			res.Misses++
@@ -111,11 +110,10 @@ func (c *FAB) Access(req Request) Result {
 					c.buf.Evictions = append(c.buf.Evictions, c.evictLargest())
 				}
 				// The group may have been evicted while making room.
-				g, ok = c.groups[blockID]
-				if !ok {
+				if g = c.groups.Get(blockID); g == nil {
 					g = c.newGroup(blockID)
 					c.order.PushHead(g)
-					c.groups[blockID] = g
+					c.groups.Put(blockID, g)
 				}
 				g.Value.pages.add(lpn)
 				c.pageCount++
@@ -188,7 +186,7 @@ func (c *FAB) evictLargest() Eviction {
 	c.buf.LPNs = g.pages.appendLPNs(c.buf.LPNs)
 	lpns := c.buf.Carve(mark)
 	c.order.Remove(victim)
-	delete(c.groups, g.blockID)
+	c.groups.Delete(g.blockID)
 	c.pageCount -= len(lpns)
 	c.free = append(c.free, victim)
 	return Eviction{LPNs: lpns, BlockBound: true}

@@ -28,7 +28,7 @@ type lfuEntry struct {
 // for differential validation and the capacity benchmarks.
 type LFU struct {
 	capacity int
-	pages    map[int64]*lfuEntry
+	pages    PageIndex[lfuEntry]
 
 	heap     vindex.Heap[*lfuEntry]
 	seq      uint64
@@ -41,10 +41,7 @@ type LFU struct {
 // NewLFU returns a page-level LFU buffer with the given capacity in pages.
 func NewLFU(capacityPages int) *LFU {
 	ValidateCapacity(capacityPages)
-	return &LFU{
-		capacity: capacityPages,
-		pages:    make(map[int64]*lfuEntry, capacityPages),
-	}
+	return &LFU{capacity: capacityPages}
 }
 
 var (
@@ -57,7 +54,7 @@ var (
 func (c *LFU) Name() string { return "LFU" }
 
 // Len implements Policy.
-func (c *LFU) Len() int { return len(c.pages) }
+func (c *LFU) Len() int { return c.pages.Len() }
 
 // CapacityPages implements Policy.
 func (c *LFU) CapacityPages() int { return c.capacity }
@@ -67,14 +64,14 @@ func (c *LFU) CapacityPages() int { return c.capacity }
 func (c *LFU) NodeBytes() int { return 16 }
 
 // NodeCount implements Policy.
-func (c *LFU) NodeCount() int { return len(c.pages) }
+func (c *LFU) NodeCount() int { return c.pages.Len() }
 
 // VictimScanCost implements VictimScanReporter.
 func (c *LFU) VictimScanCost() int64 { return c.scanCost }
 
 // SetLinearVictimScan implements LinearScanSelector.
 func (c *LFU) SetLinearVictimScan(enable bool) {
-	if len(c.pages) > 0 {
+	if c.pages.Len() > 0 {
 		panic("cache: LFU victim-scan mode must be set before use")
 	}
 	c.linear = enable
@@ -87,13 +84,13 @@ func (c *LFU) Access(req Request) Result {
 	var res Result
 	lpn := req.LPN
 	for i := 0; i < req.Pages; i++ {
-		if e, ok := c.pages[lpn]; ok {
+		if e := c.pages.Get(lpn); e != nil {
 			res.Hits++
 			c.promote(e)
 		} else {
 			res.Misses++
 			if req.Write {
-				for len(c.pages) >= c.capacity {
+				for c.pages.Len() >= c.capacity {
 					c.buf.Evictions = append(c.buf.Evictions, c.evictOne())
 				}
 				c.insert(lpn)
@@ -125,7 +122,7 @@ func (c *LFU) insert(lpn int64) {
 	if !c.linear {
 		e.hd = c.heap.Push(e.freq, e.seq, e)
 	}
-	c.pages[lpn] = e
+	c.pages.Put(lpn, e)
 }
 
 // promote bumps a hit page into the next frequency class, re-stamping its
@@ -144,12 +141,15 @@ func (c *LFU) promote(e *lfuEntry) {
 func (c *LFU) evictOne() Eviction {
 	var victim *lfuEntry
 	if c.linear {
-		for _, e := range c.pages {
+		// (freq, seq) is a strict total order, so the argmin does not
+		// depend on Range's visiting order.
+		c.pages.Range(func(_ int64, e *lfuEntry) bool {
 			c.scanCost++
 			if victim == nil || e.freq < victim.freq || (e.freq == victim.freq && e.seq < victim.seq) {
 				victim = e
 			}
-		}
+			return true
+		})
 	} else {
 		before := c.heap.Cost()
 		v, ok := c.heap.PopMin()
@@ -164,21 +164,18 @@ func (c *LFU) evictOne() Eviction {
 	mark := c.buf.Mark()
 	c.buf.LPNs = append(c.buf.LPNs, victim.lpn)
 	lpns := c.buf.Carve(mark)
-	delete(c.pages, victim.lpn)
+	c.pages.Delete(victim.lpn)
 	victim.next = c.free
 	c.free = victim
 	return Eviction{LPNs: lpns}
 }
 
 // Contains reports whether a page is buffered (tests).
-func (c *LFU) Contains(lpn int64) bool {
-	_, ok := c.pages[lpn]
-	return ok
-}
+func (c *LFU) Contains(lpn int64) bool { return c.pages.Get(lpn) != nil }
 
 // Freq returns the reference count of a buffered page, 0 if absent (tests).
 func (c *LFU) Freq(lpn int64) int64 {
-	if e, ok := c.pages[lpn]; ok {
+	if e := c.pages.Get(lpn); e != nil {
 		return e.freq
 	}
 	return 0

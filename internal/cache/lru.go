@@ -12,7 +12,7 @@ type lruEntry struct {
 // page. It is the paper's primary baseline.
 type LRU struct {
 	capacity  int
-	pages     map[int64]*list.Node[lruEntry]
+	pages     PageIndex[list.Node[lruEntry]]
 	order     list.List[lruEntry]
 	moveOnHit bool // false turns this into FIFO
 	name      string
@@ -25,7 +25,6 @@ func NewLRU(capacityPages int) *LRU {
 	ValidateCapacity(capacityPages)
 	return &LRU{
 		capacity:  capacityPages,
-		pages:     make(map[int64]*list.Node[lruEntry], capacityPages),
 		moveOnHit: true,
 		name:      "LRU",
 	}
@@ -44,7 +43,7 @@ func NewFIFO(capacityPages int) *LRU {
 func (c *LRU) Name() string { return c.name }
 
 // Len implements Policy.
-func (c *LRU) Len() int { return len(c.pages) }
+func (c *LRU) Len() int { return c.pages.Len() }
 
 // CapacityPages implements Policy.
 func (c *LRU) CapacityPages() int { return c.capacity }
@@ -64,7 +63,7 @@ func (c *LRU) Access(req Request) Result {
 	var res Result
 	lpn := req.LPN
 	for i := 0; i < req.Pages; i++ {
-		if n, ok := c.pages[lpn]; ok {
+		if n := c.pages.Get(lpn); n != nil {
 			res.Hits++
 			if c.moveOnHit {
 				c.order.MoveToHead(n)
@@ -72,12 +71,12 @@ func (c *LRU) Access(req Request) Result {
 		} else {
 			res.Misses++
 			if req.Write {
-				for len(c.pages) >= c.capacity {
+				for c.pages.Len() >= c.capacity {
 					c.buf.Evictions = append(c.buf.Evictions, c.evictOne())
 				}
 				n := c.newNode(lpn)
 				c.order.PushHead(n)
-				c.pages[lpn] = n
+				c.pages.Put(lpn, n)
 				res.Inserted++
 			} else {
 				c.buf.Reads = append(c.buf.Reads, lpn)
@@ -106,7 +105,7 @@ func (c *LRU) evictOne() Eviction {
 	if n == nil {
 		panic("cache: LRU evict on empty list")
 	}
-	delete(c.pages, n.Value.lpn)
+	c.pages.Delete(n.Value.lpn)
 	mark := c.buf.Mark()
 	c.buf.LPNs = append(c.buf.LPNs, n.Value.lpn)
 	c.free = append(c.free, n)
@@ -114,15 +113,12 @@ func (c *LRU) evictOne() Eviction {
 }
 
 // Contains reports whether a page is buffered (tests).
-func (c *LRU) Contains(lpn int64) bool {
-	_, ok := c.pages[lpn]
-	return ok
-}
+func (c *LRU) Contains(lpn int64) bool { return c.pages.Get(lpn) != nil }
 
 // EvictIdle implements cache.IdleEvictor: during idle time the LRU tail
 // page is flushed, as long as the buffer is more than half full.
 func (c *LRU) EvictIdle(now int64) (Eviction, bool) {
-	if len(c.pages) <= c.capacity/2 {
+	if c.pages.Len() <= c.capacity/2 {
 		return Eviction{}, false
 	}
 	c.buf.Reset()

@@ -123,8 +123,8 @@ func has(p Policy, lpn int64) bool {
 	case *ECR:
 		return c.Contains(lpn)
 	case *FAB:
-		g, ok := c.groups[lpn/c.pagesPerBlock]
-		return ok && g.Value.pages.has(lpn)
+		g := c.groups.Get(lpn / c.pagesPerBlock)
+		return g != nil && g.Value.pages.has(lpn)
 	default:
 		return false
 	}

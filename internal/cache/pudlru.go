@@ -65,8 +65,8 @@ type PUDLRU struct {
 	capacity      int
 	pagesPerBlock int64
 	pageCount     int
-	blocks        map[int64]*list.Node[*pudBlock]
-	order         list.List[*pudBlock] // recency order for tie-breaking
+	blocks        PageIndex[list.Node[*pudBlock]] // by block number
+	order         list.List[*pudBlock]            // recency order for tie-breaking
 	buf           ResultBuffers
 	free          []*list.Node[*pudBlock] // recycled block nodes
 
@@ -87,7 +87,6 @@ func NewPUDLRU(capacityPages, pagesPerBlock int) *PUDLRU {
 	return &PUDLRU{
 		capacity:      capacityPages,
 		pagesPerBlock: int64(pagesPerBlock),
-		blocks:        make(map[int64]*list.Node[*pudBlock]),
 		buckets:       make(map[int64]*pudBucket),
 	}
 }
@@ -133,8 +132,8 @@ func (c *PUDLRU) Access(req Request) Result {
 	lpn := req.LPN
 	for i := 0; i < req.Pages; i++ {
 		blockID := lpn / c.pagesPerBlock
-		n, ok := c.blocks[blockID]
-		if ok && n.Value.pages.has(lpn) {
+		n := c.blocks.Get(blockID)
+		if n != nil && n.Value.pages.has(lpn) {
 			res.Hits++
 			if req.Write {
 				c.noteUpdate(n, req.Time)
@@ -145,11 +144,10 @@ func (c *PUDLRU) Access(req Request) Result {
 				for c.pageCount >= c.capacity {
 					c.buf.Evictions = append(c.buf.Evictions, c.evict(req.Time))
 				}
-				n, ok = c.blocks[blockID]
-				if !ok {
+				if n = c.blocks.Get(blockID); n == nil {
 					n = c.newBlock(blockID, req.Time)
 					c.order.PushHead(n)
-					c.blocks[blockID] = n
+					c.blocks.Put(blockID, n)
 				}
 				n.Value.pages.add(lpn)
 				c.pageCount++
@@ -271,7 +269,7 @@ func (c *PUDLRU) evict(now int64) Eviction {
 		c.unindexBlock(b, b.updates)
 	}
 	c.order.Remove(victim)
-	delete(c.blocks, b.blockID)
+	c.blocks.Delete(b.blockID)
 	mark := c.buf.Mark()
 	c.buf.LPNs = b.pages.appendLPNs(c.buf.LPNs)
 	lpns := c.buf.Carve(mark)
@@ -317,6 +315,6 @@ func (c *PUDLRU) pickIndexed(now int64) *list.Node[*pudBlock] {
 
 // Contains reports whether a page is buffered (tests).
 func (c *PUDLRU) Contains(lpn int64) bool {
-	n, ok := c.blocks[lpn/c.pagesPerBlock]
-	return ok && n.Value.pages.has(lpn)
+	n := c.blocks.Get(lpn / c.pagesPerBlock)
+	return n != nil && n.Value.pages.has(lpn)
 }

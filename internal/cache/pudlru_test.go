@@ -79,7 +79,7 @@ func TestPUDLRUReadPath(t *testing.T) {
 func TestPUDLRUUpdateCountsPerBlock(t *testing.T) {
 	c := NewPUDLRU(8, 4)
 	c.Access(w(0, 0, 2)) // block 0: 2 update events... one per page
-	n := c.blocks[0]
+	n := c.blocks.Get(0)
 	if n.Value.updates != 2 {
 		t.Fatalf("updates = %d, want 2 (one per written page)", n.Value.updates)
 	}

@@ -31,8 +31,10 @@ type ReadAhead struct {
 
 	readCap       int
 	prefetchDepth int
-	pages         map[int64]*list.Node[raEntry]
-	order         list.List[raEntry] // head = most recent
+	pages         PageIndex[list.Node[raEntry]]
+	order         list.List[raEntry]    // head = most recent
+	free          []*list.Node[raEntry] // recycled nodes; steady state allocates none
+	buf           ResultBuffers         // backs Result.Prefetches
 
 	// streams holds the end LPNs of recent read runs for sequential
 	// detection.
@@ -55,7 +57,6 @@ func NewReadAhead(inner Policy, readPages, prefetchDepth int) *ReadAhead {
 		inner:         inner,
 		readCap:       readPages,
 		prefetchDepth: prefetchDepth,
-		pages:         make(map[int64]*list.Node[raEntry], readPages),
 	}
 }
 
@@ -63,7 +64,7 @@ func NewReadAhead(inner Policy, readPages, prefetchDepth int) *ReadAhead {
 func (c *ReadAhead) Name() string { return c.inner.Name() + "+RA" }
 
 // Len implements Policy: write-buffer pages plus read-region pages.
-func (c *ReadAhead) Len() int { return c.inner.Len() + len(c.pages) }
+func (c *ReadAhead) Len() int { return c.inner.Len() + c.pages.Len() }
 
 // CapacityPages implements Policy.
 func (c *ReadAhead) CapacityPages() int { return c.inner.CapacityPages() + c.readCap }
@@ -76,7 +77,7 @@ func (c *ReadAhead) NodeBytes() int { return c.inner.NodeBytes() }
 func (c *ReadAhead) NodeCount() int { return c.inner.NodeCount() + c.order.Len() }
 
 // ReadRegionLen returns the pages held by the read cache (tests).
-func (c *ReadAhead) ReadRegionLen() int { return len(c.pages) }
+func (c *ReadAhead) ReadRegionLen() int { return c.pages.Len() }
 
 // VictimScanCost forwards the inner policy's victim-selection work
 // counter, 0 when the inner policy does not report one.
@@ -99,9 +100,10 @@ func (c *ReadAhead) Access(req Request) Result {
 		// Drop stale read-cache copies, then delegate.
 		lpn := req.LPN
 		for i := 0; i < req.Pages; i++ {
-			if n, ok := c.pages[lpn]; ok {
+			if n := c.pages.Get(lpn); n != nil {
 				c.order.Remove(n)
-				delete(c.pages, lpn)
+				c.pages.Delete(lpn)
+				c.free = append(c.free, n)
 			}
 			lpn++
 		}
@@ -109,6 +111,8 @@ func (c *ReadAhead) Access(req Request) Result {
 	}
 	// Read: write buffer first (per page), then the read region.
 	res := c.inner.Access(req)
+	c.buf.Reset()
+	c.buf.Prefetches = append(c.buf.Prefetches, res.Prefetches...) // an inner prefetcher's pages stay first
 	// The inner policy reported misses for pages it does not hold; the
 	// read region may still satisfy them. Filtering in place keeps the
 	// slice aliased to the inner policy's buffer (no allocation) while
@@ -116,7 +120,7 @@ func (c *ReadAhead) Access(req Request) Result {
 	// policy's next Access.
 	stillMissing := res.ReadMisses[:0]
 	for _, lpn := range res.ReadMisses {
-		if n, ok := c.pages[lpn]; ok {
+		if n := c.pages.Get(lpn); n != nil {
 			res.Hits++
 			res.Misses--
 			c.readHits++
@@ -140,33 +144,41 @@ func (c *ReadAhead) Access(req Request) Result {
 			next := req.LPN + int64(req.Pages)
 			for i := 0; i < c.prefetchDepth; i++ {
 				lpn := next + int64(i)
-				if _, ok := c.pages[lpn]; ok {
+				if c.pages.Get(lpn) != nil {
 					continue
 				}
-				res.Prefetches = append(res.Prefetches, lpn)
+				c.buf.Prefetches = append(c.buf.Prefetches, lpn)
 				c.insertRead(lpn, true)
 				c.prefetched++
 			}
 		}
 		c.noteStream(req.LPN + int64(req.Pages))
 	}
+	c.buf.Finish(&res)
 	return res
 }
 
 // insertRead adds a page to the read region, silently evicting its LRU
 // tail when full.
 func (c *ReadAhead) insertRead(lpn int64, prefetched bool) {
-	if n, ok := c.pages[lpn]; ok {
+	if n := c.pages.Get(lpn); n != nil {
 		c.order.MoveToHead(n)
 		return
 	}
-	for len(c.pages) >= c.readCap {
+	for c.pages.Len() >= c.readCap {
 		tail := c.order.PopTail()
-		delete(c.pages, tail.Value.lpn)
+		c.pages.Delete(tail.Value.lpn)
+		c.free = append(c.free, tail)
 	}
-	n := &list.Node[raEntry]{Value: raEntry{lpn: lpn, prefetched: prefetched}}
+	var n *list.Node[raEntry]
+	if k := len(c.free); k > 0 {
+		n, c.free = c.free[k-1], c.free[:k-1]
+	} else {
+		n = &list.Node[raEntry]{}
+	}
+	n.Value = raEntry{lpn: lpn, prefetched: prefetched}
 	c.order.PushHead(n)
-	c.pages[lpn] = n
+	c.pages.Put(lpn, n)
 }
 
 // continuesStream reports whether a read starting at lpn continues one of

@@ -17,6 +17,8 @@ type ResultBuffers struct {
 	LPNs []int64
 	// Reads backs Result.ReadMisses.
 	Reads []int64
+	// Prefetches backs Result.Prefetches (NewReadAhead).
+	Prefetches []int64
 }
 
 // Reset empties the buffers, keeping their storage.
@@ -24,6 +26,7 @@ func (b *ResultBuffers) Reset() {
 	b.Evictions = b.Evictions[:0]
 	b.LPNs = b.LPNs[:0]
 	b.Reads = b.Reads[:0]
+	b.Prefetches = b.Prefetches[:0]
 }
 
 // Mark returns the current LPN high-water mark; pass it to Carve after
@@ -44,5 +47,8 @@ func (b *ResultBuffers) Finish(res *Result) {
 	}
 	if len(b.Reads) > 0 {
 		res.ReadMisses = b.Reads
+	}
+	if len(b.Prefetches) > 0 {
+		res.Prefetches = b.Prefetches
 	}
 }

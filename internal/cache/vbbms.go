@@ -15,7 +15,7 @@ type vbbmsRegion struct {
 	vbSize    int64 // virtual-block size in pages
 	lru       bool  // true: hits move blocks to head; false: FIFO
 	pageCount int
-	blocks    map[int64]*list.Node[*vbbmsBlock]
+	blocks    PageIndex[list.Node[*vbbmsBlock]] // by virtual-block number
 	order     list.List[*vbbmsBlock]
 	free      []*list.Node[*vbbmsBlock] // recycled virtual-block nodes
 }
@@ -32,10 +32,7 @@ type VBBMS struct {
 	seqMin     int // requests with at least this many pages are sequential
 	random     vbbmsRegion
 	sequential vbbmsRegion
-	// home remembers which region holds each buffered page, so a page
-	// re-written by a differently classified request still hits.
-	home map[int64]*vbbmsRegion
-	buf  ResultBuffers
+	buf        ResultBuffers
 
 	scanCost int64
 }
@@ -72,15 +69,12 @@ func NewVBBMSConfig(capacityPages, randomShare, seqShare, randVB, seqVB, seqMin 
 			capacity: randCap,
 			vbSize:   int64(randVB),
 			lru:      true,
-			blocks:   make(map[int64]*list.Node[*vbbmsBlock]),
 		},
 		sequential: vbbmsRegion{
 			capacity: seqCap,
 			vbSize:   int64(seqVB),
 			lru:      false,
-			blocks:   make(map[int64]*list.Node[*vbbmsBlock]),
 		},
-		home: make(map[int64]*vbbmsRegion, capacityPages),
 	}
 }
 
@@ -139,9 +133,11 @@ func (c *VBBMS) Access(req Request) Result {
 	}
 	lpn := req.LPN
 	for i := 0; i < req.Pages; i++ {
-		if region, ok := c.home[lpn]; ok {
+		if r, n := c.holder(lpn); r != nil {
 			res.Hits++
-			c.touch(region, lpn)
+			if r.lru {
+				r.order.MoveToHead(n) // the FIFO region leaves order untouched
+			}
 		} else {
 			res.Misses++
 			if req.Write {
@@ -149,7 +145,6 @@ func (c *VBBMS) Access(req Request) Result {
 					c.buf.Evictions = append(c.buf.Evictions, c.evictFrom(target))
 				}
 				c.insert(target, lpn)
-				c.home[lpn] = target
 				res.Inserted++
 			} else {
 				c.buf.Reads = append(c.buf.Reads, lpn)
@@ -161,23 +156,24 @@ func (c *VBBMS) Access(req Request) Result {
 	return res
 }
 
-// touch applies the region's hit rule: LRU regions promote the virtual
-// block; the FIFO region leaves order untouched.
-func (c *VBBMS) touch(r *vbbmsRegion, lpn int64) {
-	if !r.lru {
-		return
+// holder returns the region and virtual block holding a page, or nils. A
+// page lives in at most one region, so a page re-written by a differently
+// classified request still hits where it is.
+func (c *VBBMS) holder(lpn int64) (*vbbmsRegion, *list.Node[*vbbmsBlock]) {
+	for _, r := range [2]*vbbmsRegion{&c.random, &c.sequential} {
+		if n := r.blocks.Get(lpn / r.vbSize); n != nil && n.Value.pages.has(lpn) {
+			return r, n
+		}
 	}
-	if n, ok := r.blocks[lpn/r.vbSize]; ok {
-		r.order.MoveToHead(n)
-	}
+	return nil, nil
 }
 
 // insert adds a page to its (aligned) virtual block, creating the block at
 // the head when absent.
 func (c *VBBMS) insert(r *vbbmsRegion, lpn int64) {
 	vbID := lpn / r.vbSize
-	n, ok := r.blocks[vbID]
-	if !ok {
+	n := r.blocks.Get(vbID)
+	if n == nil {
 		if len(r.free) > 0 {
 			n = r.free[len(r.free)-1]
 			r.free = r.free[:len(r.free)-1]
@@ -188,7 +184,7 @@ func (c *VBBMS) insert(r *vbbmsRegion, lpn int64) {
 		vb.vbID = vbID
 		vb.pages.reset(vbID*r.vbSize, r.vbSize)
 		r.order.PushHead(n)
-		r.blocks[vbID] = n
+		r.blocks.Put(vbID, n)
 	}
 	n.Value.pages.add(lpn)
 	r.pageCount++
@@ -203,13 +199,10 @@ func (c *VBBMS) evictFrom(r *vbbmsRegion) Eviction {
 		panic("cache: VBBMS evict on empty region")
 	}
 	vb := n.Value
-	delete(r.blocks, vb.vbID)
+	r.blocks.Delete(vb.vbID)
 	mark := c.buf.Mark()
 	c.buf.LPNs = vb.pages.appendLPNs(c.buf.LPNs)
 	lpns := c.buf.Carve(mark)
-	for _, lpn := range lpns {
-		delete(c.home, lpn)
-	}
 	r.pageCount -= len(lpns)
 	r.free = append(r.free, n)
 	return Eviction{LPNs: lpns}
@@ -217,13 +210,13 @@ func (c *VBBMS) evictFrom(r *vbbmsRegion) Eviction {
 
 // Contains reports whether a page is buffered (tests).
 func (c *VBBMS) Contains(lpn int64) bool {
-	_, ok := c.home[lpn]
-	return ok
+	r, _ := c.holder(lpn)
+	return r != nil
 }
 
 // RegionOf returns "random", "sequential" or "" for a page (tests).
 func (c *VBBMS) RegionOf(lpn int64) string {
-	switch c.home[lpn] {
+	switch r, _ := c.holder(lpn); r {
 	case &c.random:
 		return "random"
 	case &c.sequential:

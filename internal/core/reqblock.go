@@ -146,8 +146,7 @@ func DefaultConfig() Config {
 type ReqBlock struct {
 	capacity  int
 	cfg       Config
-	pageCount int
-	index     map[int64]*pageNode // lpn -> its page node (node.blk = holder)
+	index     cache.PageIndex[pageNode] // lpn -> its page node (node.blk = holder)
 	irl       list.List[*reqBlock]
 	srl       list.List[*reqBlock]
 	drl       list.List[*reqBlock]
@@ -187,18 +186,14 @@ func NewConfig(capacityPages int, cfg Config) *ReqBlock {
 	if cfg.Delta < 1 {
 		panic(fmt.Sprintf("core: delta %d, need >= 1", cfg.Delta))
 	}
-	return &ReqBlock{
-		capacity: capacityPages,
-		cfg:      cfg,
-		index:    make(map[int64]*pageNode, capacityPages),
-	}
+	return &ReqBlock{capacity: capacityPages, cfg: cfg}
 }
 
 // Name implements cache.Policy.
 func (c *ReqBlock) Name() string { return "Req-block" }
 
 // Len implements cache.Policy.
-func (c *ReqBlock) Len() int { return c.pageCount }
+func (c *ReqBlock) Len() int { return c.index.Len() }
 
 // CapacityPages implements cache.Policy.
 func (c *ReqBlock) CapacityPages() int { return c.capacity }
@@ -315,13 +310,13 @@ func (c *ReqBlock) Access(req cache.Request) cache.Result {
 	var res cache.Result
 	lpn := req.LPN
 	for i := 0; i < req.Pages; i++ {
-		if pn, ok := c.index[lpn]; ok {
+		if pn := c.index.Get(lpn); pn != nil {
 			res.Hits++
 			c.onHit(pn, reqID, req.Time)
 		} else {
 			res.Misses++
 			if req.Write {
-				for c.pageCount >= c.capacity {
+				for c.index.Len() >= c.capacity {
 					c.buf.Evictions = append(c.buf.Evictions, c.evict(req.Time))
 				}
 				c.insertNew(lpn, reqID, req.Time)
@@ -395,9 +390,8 @@ func (c *ReqBlock) insertNew(lpn int64, reqID uint64, now int64) {
 	}
 	pn := c.newPageNode(lpn)
 	blk.addPage(pn)
-	c.index[lpn] = pn
+	c.index.Put(lpn, pn)
 	c.listPages[inIRL]++
-	c.pageCount++
 }
 
 // moveBlock relocates a block to the head of the target list, keeping the
@@ -506,13 +500,12 @@ func (c *ReqBlock) detachBlock(blk *reqBlock) {
 	for pn := blk.pageHead; pn != nil; {
 		next := pn.next
 		c.buf.LPNs = append(c.buf.LPNs, pn.lpn)
-		delete(c.index, pn.lpn)
+		c.index.Delete(pn.lpn)
 		c.freePageNode(pn)
 		pn = next
 	}
 	c.listOf(blk.where).Remove(blk.node)
 	c.listPages[blk.where] -= blk.pageCnt
-	c.pageCount -= blk.pageCnt
 	c.freeBlock(blk)
 }
 
@@ -523,7 +516,7 @@ func (c *ReqBlock) detachBlock(blk *reqBlock) {
 // (§4.2.4: "evicting more cold data pages earlier can make more room for
 // hot data").
 func (c *ReqBlock) EvictIdle(now int64) (cache.Eviction, bool) {
-	if c.pageCount <= c.capacity/2 {
+	if c.index.Len() <= c.capacity/2 {
 		return cache.Eviction{}, false
 	}
 	c.buf.Reset()
@@ -531,15 +524,12 @@ func (c *ReqBlock) EvictIdle(now int64) (cache.Eviction, bool) {
 }
 
 // Contains reports whether a page is buffered (tests).
-func (c *ReqBlock) Contains(lpn int64) bool {
-	_, ok := c.index[lpn]
-	return ok
-}
+func (c *ReqBlock) Contains(lpn int64) bool { return c.index.Get(lpn) != nil }
 
 // WhereIs returns "IRL", "SRL", "DRL" or "" for a page (tests).
 func (c *ReqBlock) WhereIs(lpn int64) string {
-	pn, ok := c.index[lpn]
-	if !ok {
+	pn := c.index.Get(lpn)
+	if pn == nil {
 		return ""
 	}
 	return pn.blk.where.String()
@@ -548,8 +538,8 @@ func (c *ReqBlock) WhereIs(lpn int64) string {
 // BlockOf returns the page count and access count of the block holding a
 // page (tests); ok is false when the page is absent.
 func (c *ReqBlock) BlockOf(lpn int64) (pages int, accessCnt int64, ok bool) {
-	pn, found := c.index[lpn]
-	if !found {
+	pn := c.index.Get(lpn)
+	if pn == nil {
 		return 0, 0, false
 	}
 	return pn.blk.pageNum(), pn.blk.accessCnt, true
@@ -565,7 +555,6 @@ func (c *ReqBlock) CheckInvariants() error {
 	}
 	var gauge [3]int
 	total := 0
-	seen := make(map[int64]bool, len(c.index))
 	for id, l := range map[listID]*list.List[*reqBlock]{inIRL: &c.irl, inSRL: &c.srl, inDRL: &c.drl} {
 		for n := l.Head(); n != nil; n = n.Next() {
 			blk := n.Value
@@ -587,11 +576,9 @@ func (c *ReqBlock) CheckInvariants() error {
 				if pn.prev != prev {
 					return fmt.Errorf("core: page list prev/next asymmetry at lpn %d", pn.lpn)
 				}
-				if seen[pn.lpn] {
-					return fmt.Errorf("core: lpn %d in two blocks", pn.lpn)
-				}
-				seen[pn.lpn] = true
-				if c.index[pn.lpn] != pn {
+				// The index holds one node per LPN, so this also
+				// catches an LPN listed in two blocks.
+				if c.index.Get(pn.lpn) != pn {
 					return fmt.Errorf("core: index[%d] does not point at holder", pn.lpn)
 				}
 				prev = pn
@@ -607,17 +594,16 @@ func (c *ReqBlock) CheckInvariants() error {
 			total += blk.pageNum()
 		}
 	}
-	if total != c.pageCount || total != len(c.index) {
-		return fmt.Errorf("core: page accounting: listed %d, pageCount %d, index %d",
-			total, c.pageCount, len(c.index))
+	if total != c.index.Len() {
+		return fmt.Errorf("core: page accounting: listed %d, index %d", total, c.index.Len())
 	}
 	for i, g := range gauge {
 		if g != c.listPages[i] {
 			return fmt.Errorf("core: listPages[%v] = %d, recounted %d", listID(i), c.listPages[i], g)
 		}
 	}
-	if c.pageCount > c.capacity {
-		return fmt.Errorf("core: pageCount %d exceeds capacity %d", c.pageCount, c.capacity)
+	if total > c.capacity {
+		return fmt.Errorf("core: %d pages exceed capacity %d", total, c.capacity)
 	}
 	return nil
 }

@@ -73,8 +73,8 @@ func TestSplitOfSplitPropagatesOrigin(t *testing.T) {
 	if c.WhereIs(2) != "DRL" {
 		t.Fatal("grand split not in DRL")
 	}
-	blk := c.index[2].blk
-	if blk.origin == nil || blk.origin != c.index[0].blk {
+	blk := c.index.Get(2).blk
+	if blk.origin == nil || blk.origin != c.index.Get(0).blk {
 		t.Fatal("grand split's origin does not point at the IRL original")
 	}
 	mustInv(t, c)

@@ -65,11 +65,13 @@ type Config struct {
 	// Observers attaches extra measurement observers to every replay the
 	// runner performs (telemetry, progress — see replay.Options.Observers).
 	// Observers accumulate across the whole grid: cmd/experiments uses this
-	// to serve live /metrics over a multi-cell run.
-	Observers []sim.Observer
+	// to serve live /metrics over a multi-cell run. Not part of the JSON
+	// report: observers measure a run, they do not configure it.
+	Observers []sim.Observer `json:"-"`
 	// Tap attaches a flash timing tap to every device the runner builds
-	// (GC pause and program/read/erase histograms — see ftl.Tap).
-	Tap ftl.Tap
+	// (GC pause and program/read/erase histograms — see ftl.Tap). Not
+	// part of the JSON report, for the same reason.
+	Tap ftl.Tap `json:"-"`
 }
 
 // DefaultConfig returns the configuration used throughout EXPERIMENTS.md.

@@ -74,3 +74,15 @@ func TestReportFullyDeterministic(t *testing.T) {
 		t.Fatal("report JSON differs between identical runs")
 	}
 }
+
+// TestReportConfigOmitsHooks: Tap and Observers measure a run rather than
+// configure it, so they never reach the JSON report.
+func TestReportConfigOmitsHooks(t *testing.T) {
+	var buf bytes.Buffer
+	if err := (&Report{Config: DefaultConfig()}).WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(buf.Bytes(), []byte(`"Tap"`)) || bytes.Contains(buf.Bytes(), []byte(`"Observers"`)) {
+		t.Fatal("Tap or Observers encoded into the report")
+	}
+}
