@@ -27,7 +27,7 @@ race:
 test-race: race
 
 # race-sharded soaks the concurrent code specifically under the race
-# detector: the splitter/shard/merger pipeline (with its one-shard anchor
+# detector: the router/shard/merger pipeline (with its one-shard anchor
 # against the direct path in internal/sim) plus the service front-end
 # (admission queues, window waits, drain) get their own longer pass
 # beyond `race`.

@@ -155,10 +155,10 @@ type DirtyPager interface {
 
 // VictimScanReporter is implemented by policies that account the work
 // their eviction-victim selection performs: a cumulative count of
-// candidate entries examined (heap levels sifted and stale entries
-// skipped in the indexed mode, nodes walked in the linear reference
-// mode). The simulator differences the counter around each eviction to
-// feed the per-eviction victim-scan-cost histogram.
+// candidate entries examined (one per heap pop or peek plus one per level
+// sifted in the indexed mode, nodes walked in the linear reference mode).
+// The simulator differences the counter around each eviction to feed the
+// per-eviction victim-scan-cost histogram.
 type VictimScanReporter interface {
 	// VictimScanCost returns the cumulative victim-selection work counter.
 	VictimScanCost() int64

@@ -6,7 +6,7 @@
 // The guard keys on stack frames mentioning the module path, so runtime,
 // testing, and net/http background goroutines never count. It is meant to
 // wrap the concurrent machinery in this repo — the sharded replay's
-// splitter/relay/merger pipeline and the serve package's shard workers —
+// router/relay/merger pipeline and the serve package's shard workers —
 // and runs under -race in `make check` (see the race-sharded target).
 package leakcheck
 

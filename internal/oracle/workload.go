@@ -180,7 +180,7 @@ func Generate(seed int64, policy string, n int) Spec {
 // GenerateVindex derives a deterministic randomized ModeVindex workload.
 // No FTL rides along in this mode, so capacities and address ranges run
 // larger than Generate's: enough churn that the heaps see thousands of
-// push/invalidate/pop cycles, compaction, and pooled-node reuse, while
+// push/update/invalidate/pop cycles and pooled-node reuse, while
 // ties stay common (the address range is a small multiple of capacity).
 func GenerateVindex(seed int64, policy string, n int) Spec {
 	rng := rand.New(rand.NewSource(seed))

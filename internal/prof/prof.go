@@ -5,16 +5,31 @@
 // invoked explicitly on every path rather than deferred.
 //
 // The resulting files feed `go tool pprof` directly; docs/PERFORMANCE.md
-// walks through the workflow.
+// walks through the workflow. Do labels the long-lived goroutines, so the
+// same profiles split by layer and shard.
 package prof
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 )
+
+// Do runs f on the calling goroutine under the pprof labels layer and
+// shard, so CPU and goroutine profiles split by them (`go tool pprof
+// -tags`). A negative shard labels a goroutine that serves every shard
+// "all". The goroutine's labels are cleared when f returns.
+func Do(layer string, shard int, f func()) {
+	s := "all"
+	if shard >= 0 {
+		s = strconv.Itoa(shard)
+	}
+	pprof.Do(context.Background(), pprof.Labels("layer", layer, "shard", s), func(context.Context) { f() })
+}
 
 // Flags holds the profile destinations registered on a FlagSet.
 type Flags struct {

@@ -77,11 +77,11 @@ func twoRegionChurn(n int) *trace.Trace {
 
 // TestShardedDegradedShardPropagates pins the sharded engine's behavior
 // when ONE shard's device enters read-only mode mid-run: the run must
-// finish without hanging (the degraded shard's horizon drain keeps the
-// splitter's backlog moving), the merged metrics must report Degraded,
-// the healthy shard must keep processing, and the whole outcome must be
-// deterministic run to run. The goroutine guard holds the
-// splitter/relay/merger pipeline to a clean exit.
+// finish without hanging (the degraded shard's horizon drain keeps
+// yielding a record per routed request), the merged metrics must report
+// Degraded, the healthy shard must keep processing, and the whole outcome
+// must be deterministic run to run. The goroutine guard holds the
+// router/relay/merger pipeline to a clean exit.
 func TestShardedDegradedShardPropagates(t *testing.T) {
 	leakcheck.Check(t)
 	run := func() *Metrics {

@@ -105,7 +105,7 @@ func TestShardedDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestShardedCrashDeterministic pins the splitter's global stream cut: a
+// TestShardedCrashDeterministic pins the router's global stream cut: a
 // multi-shard crash run is deterministic and loses the dirty pages still
 // buffered across all shards.
 func TestShardedCrashDeterministic(t *testing.T) {

@@ -34,6 +34,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/obs"
+	"repro/internal/prof"
 	"repro/internal/sim"
 	"repro/internal/ssd"
 )
@@ -342,7 +343,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	for _, s := range srv.shards {
 		srv.wg.Add(1)
-		go s.run()
+		go prof.Do("serve", s.id, s.run)
 	}
 	return srv, nil
 }

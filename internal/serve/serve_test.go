@@ -1,7 +1,10 @@
 package serve_test
 
 import (
+	"bytes"
 	"math"
+	"runtime/pprof"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -88,6 +91,17 @@ func TestServeBasicAndDrain(t *testing.T) {
 	}
 	if st.QueueDepth != 0 {
 		t.Fatalf("queue depth %d after quiesce, want 0", st.QueueDepth)
+	}
+
+	// The idle shard workers carry their profile labels.
+	var profile bytes.Buffer
+	if err := pprof.Lookup("goroutine").WriteTo(&profile, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`{"layer":"serve", "shard":"0"}`, `{"layer":"serve", "shard":"1"}`} {
+		if !strings.Contains(profile.String(), want) {
+			t.Errorf("goroutine profile lacks labels %s", want)
+		}
 	}
 
 	rep := srv.Drain()

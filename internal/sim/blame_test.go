@@ -127,7 +127,7 @@ func (s *shardBlameSink) OnShardResult(_ int, _ []int, ev *ResultEvent) {
 	s.byShard[ev.Req.Index] = ev.Blame
 }
 
-// A single-shard run forced through the splitter/relay/merger must
+// A single-shard run forced through the router/relay/merger must
 // reproduce the unsharded engine's blame spans bit for bit: the relay's
 // copy, the merger's rebuild, and the ShardAware fan-out all preserve the
 // partition.

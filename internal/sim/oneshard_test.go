@@ -74,7 +74,7 @@ func (l *streamLog) OnDone(_ *Engine, ev *DoneEvent) {
 }
 
 // runOneShard runs cfg (one shard) through the direct path or, with
-// pipeline set, through the splitter/relay/merger, and logs the merged
+// pipeline set, through the router/relay/merger, and logs the merged
 // stream.
 func runOneShard(t *testing.T, tr *trace.Trace, cfg ShardConfig, pipeline bool) ([]streamCall, bool) {
 	t.Helper()
@@ -141,7 +141,7 @@ func oneShardDevice(faults fault.Config) func(int) (*ssd.Device, error) {
 
 // TestShardedOneShardDirectMatchesPipeline is the sharded engine's anchor:
 // one shard runs its engine directly, and the merged-stream observers must
-// receive exactly the calls the splitter/relay/merger pipeline hands them
+// receive exactly the calls the router/relay/merger pipeline hands them
 // — every request, eviction, result (cache decision, blame, node count),
 // ShardAware occupancy sample and the run summary — for every policy
 // family and both sharing modes, with warmup, idle flushing, a closed
@@ -197,7 +197,7 @@ func TestShardedOneShardDirectMatchesPipeline(t *testing.T) {
 
 // TestShardedOneShardDirectMatchesPipelineWithFaults repeats the anchor
 // under the fault harness: injected failures with a crash cut
-// (StopAfterRequests: the splitter stops routing, the direct path stops
+// (StopAfterRequests: the router stops routing, the direct path stops
 // its engine) and periodic destaging, and a degraded (read-only) stop.
 func TestShardedOneShardDirectMatchesPipelineWithFaults(t *testing.T) {
 	reqs := make([]trace.Request, 400)
@@ -242,7 +242,7 @@ func TestShardedOneShardDirectMatchesPipelineWithFaults(t *testing.T) {
 }
 
 // TestShardedOneShardStartsOnlyTheReadAhead checks a one-shard run starts
-// no splitter, shard or merger goroutine: while it runs, the read-ahead
+// no shard goroutine and no relay or merger: while it runs, the read-ahead
 // filler is the only goroutine it adds, and that one is joined on return.
 func TestShardedOneShardStartsOnlyTheReadAhead(t *testing.T) {
 	leakcheck.Check(t)

@@ -1,39 +1,50 @@
-// Sharded replay: the multi-core unlock. A splitter goroutine routes each
-// trace request to one of N shard engines by tenant (explicit boundaries
-// or an LBA-derived hash); every shard runs the ordinary single-threaded
-// Engine on its own goroutine with its own policy instance and device, and
-// a relay observer copies the shard's events — tagged with the request's
-// global source ordinal — into batches. A single merger then performs a
-// deterministic sequence-number min-merge across the shard streams and
-// dispatches the merged events to the registered observers in exactly the
-// order a single engine would have produced them. Determinism therefore
-// never depends on goroutine scheduling: event contents are computed by
-// the (deterministic) shard simulations and the merge order is a pure
-// function of the ordinals.
+// Sharded replay: the multi-core unlock. The caller's goroutine routes
+// each trace request to one of N shard engines by tenant (explicit
+// boundaries or an LBA-derived hash) and merges their events back into
+// trace order; every shard runs the ordinary single-threaded Engine on its
+// own goroutine with its own policy instance and device.
 //
-// Flow-control shape (and why it cannot deadlock): shard input queues are
-// unbounded deques with one global soft bound the splitter waits on, and
-// every watermarkEvery ordinals the splitter flushes all pending request
-// batches and sends each shard a watermark ("no future requests for you
-// below this ordinal"). Watermarks travel through the shard's source into
-// its event stream, so the merger always learns a lower bound for a quiet
-// shard's next event instead of blocking on it forever. The splitter only
-// ever waits on the soft bound — and it watermarks everyone first — so
-// every cycle through splitter → shard → merger has a consumable minimum.
+// The router pulls the source through a read-ahead (trace.ReadAhead),
+// routes at most routeAhead ordinals per shard past the merge point, and
+// logs each ordinal's shard in a ring. A relay stands on both sides of
+// every shard engine. As the engine's source it yields the requests the
+// router queued for the shard. As its first observer it writes one compact
+// record per pulled request: the request's eviction batches, its request
+// and result when the engine got that far, and where OnRequest and
+// OnResult fell among the batches. The merger walks the ring in order,
+// takes each ordinal's record from its shard, sets Index and Warm from the
+// ordinal and replays the record to the registered observers: exactly the
+// calls, in exactly the order, a single engine would have made.
+// Determinism therefore never depends on goroutine scheduling: record
+// contents come from the deterministic shard simulations and the merge
+// order is the routing log.
 //
-// One shard has nothing to split or merge: it runs its engine directly
-// over a read-ahead of the source, on the caller's goroutine, and the
-// merged-stream observers attach to that live engine.
+// Flow control, and why it cannot deadlock:
+//
+//   - Shard input queues are unbounded, so the router never waits on a
+//     shard's input; the routing window bounds what they hold.
+//   - A relay ships its batch of records at a request boundary: when the
+//     batch is full, or just before its shard blocks waiting for input.
+//   - The router waits on shard k's output only for the record at the
+//     merge point, and only after pushing every routed request. Shard k
+//     then holds that request and flushes before it next blocks, so the
+//     record always arrives.
+//   - On a shard error the router closes every queue and drains every
+//     output until each one closes.
+//
+// One shard has nothing to route or merge: it runs its engine directly
+// over the read-ahead, on the caller's goroutine, and the merged-stream
+// observers attach to that live engine.
 package sim
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 
 	"repro/internal/cache"
 	"repro/internal/ftl"
+	"repro/internal/prof"
 	"repro/internal/ssd"
 	"repro/internal/trace"
 )
@@ -121,7 +132,7 @@ type ShardConfig struct {
 	Engine Config
 	// StopAfterRequests, when positive, cuts the run after that many
 	// non-empty requests — the crash harness's global power-loss point.
-	// The splitter stops routing at that ordinal; one shard stops its
+	// The router stops routing at that ordinal; one shard stops its
 	// engine at that processed count.
 	StopAfterRequests int
 	// CaptureOccupancy samples each OccupancySampler policy's list sizes
@@ -144,11 +155,12 @@ type ShardAware interface {
 
 const (
 	defaultTenantRegionPages = 4096
-	reqBatchLen              = 256  // requests per splitter→shard batch
-	eventBatchLen            = 256  // events per shard→merger batch
-	watermarkEvery           = 1024 // ordinals between splitter watermark rounds
-	outChanCap               = 8    // event batches buffered per shard
-	backlogPerShard          = 8192 // soft bound on queued requests, per shard
+	routeAhead               = 8192 // ordinals routed past the merge point, per shard
+	reqBatchLen              = 256  // requests per router→shard batch
+	recBatchLen              = 256  // records per shard→merger batch
+	// outChanCap record batches may wait per shard, so a shard can run a
+	// few batches ahead of the merger without blocking on it.
+	outChanCap = 8
 )
 
 // splitmix64 is the finalizer of Vigna's SplitMix64 generator — a cheap,
@@ -161,9 +173,9 @@ func splitmix64(x uint64) uint64 {
 }
 
 // RouteLPN maps a request's first page to a shard using the same routing
-// the splitter applies: explicit tenant boundaries when present (tenant t
-// maps to shard t mod shards), otherwise the splitmix64 hash of the LPN's
-// regionPages-sized address region. Exported so front-ends (the service
+// the sharded replay applies: explicit tenant boundaries when present
+// (tenant t maps to shard t mod shards), otherwise the splitmix64 hash of
+// the LPN's regionPages-sized address region. Exported so front-ends (the service
 // layer) route exactly like a sharded replay would; regionPages <= 0
 // selects the default region size.
 func RouteLPN(lpn int64, boundaries []int64, regionPages int64, shards int) int {
@@ -177,38 +189,25 @@ func RouteLPN(lpn int64, boundaries []int64, regionPages int64, shards int) int 
 	return int(splitmix64(uint64(lpn/regionPages)) % uint64(shards))
 }
 
-// seqReq is one routed request with its global source ordinal.
-type seqReq struct {
-	req trace.Request
-	seq int64
-}
-
-// reqBatch is one splitter→shard message: a run of requests, or a bare
-// watermark promising that every future request for this shard has a
-// larger ordinal.
-type reqBatch struct {
-	reqs      []seqReq
-	watermark int64
-}
-
-// shardQueue is an unbounded FIFO of request batches. Unbounded is what
-// makes the splitter's sends non-blocking (the deadlock-freedom argument
-// above); the global backlog soft bound keeps memory finite.
+// shardQueue carries request batches from the router to one shard: an
+// unbounded FIFO, so the router never waits on it, plus the free list
+// drained batches return on for the router to refill.
 type shardQueue struct {
 	mu      sync.Mutex
-	cond    *sync.Cond
-	batches []reqBatch
+	cond    sync.Cond
+	batches [][]trace.Request
 	head    int
 	closed  bool
+	free    [][]trace.Request
 }
 
 func newShardQueue() *shardQueue {
 	q := &shardQueue{}
-	q.cond = sync.NewCond(&q.mu)
+	q.cond.L = &q.mu
 	return q
 }
 
-func (q *shardQueue) push(b reqBatch) {
+func (q *shardQueue) push(b []trace.Request) {
 	q.mu.Lock()
 	q.batches = append(q.batches, b)
 	q.mu.Unlock()
@@ -222,161 +221,88 @@ func (q *shardQueue) close() {
 	q.cond.Broadcast()
 }
 
-// pop blocks until a batch is available or the queue is closed and empty.
-func (q *shardQueue) pop() (reqBatch, bool) {
+// pop returns the next batch. Without wait it reports false at once when
+// none is queued; with wait it blocks until one is, and reports false
+// only when the queue is closed and empty.
+func (q *shardQueue) pop(wait bool) ([]trace.Request, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for q.head >= len(q.batches) && !q.closed {
+	for wait && q.head == len(q.batches) && !q.closed {
 		q.cond.Wait()
 	}
-	if q.head >= len(q.batches) {
-		return reqBatch{}, false
+	if q.head == len(q.batches) {
+		return nil, false
 	}
 	b := q.batches[q.head]
-	q.batches[q.head] = reqBatch{}
+	q.batches[q.head] = nil
 	q.head++
 	if q.head == len(q.batches) {
-		q.batches = q.batches[:0]
-		q.head = 0
+		q.batches, q.head = q.batches[:0], 0
 	}
 	return b, true
 }
 
-// backlog is the global soft bound on splitter-queued requests.
-type backlog struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	n     int
-	limit int
+// recycle returns a drained batch to the free list.
+func (q *shardQueue) recycle(b []trace.Request) {
+	q.mu.Lock()
+	q.free = append(q.free, b[:0])
+	q.mu.Unlock()
 }
 
-func newBacklog(limit int) *backlog {
-	b := &backlog{limit: limit}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-func (b *backlog) add(n int) {
-	b.mu.Lock()
-	b.n += n
-	b.mu.Unlock()
-}
-
-func (b *backlog) sub(n int) {
-	b.mu.Lock()
-	b.n -= n
-	b.mu.Unlock()
-	b.cond.Broadcast()
-}
-
-// waitBelow blocks while the backlog is at or above the limit. The
-// splitter calls it only after watermarking every shard, so the pipeline
-// can always drain while it waits.
-func (b *backlog) waitBelow() {
-	b.mu.Lock()
-	for b.n >= b.limit {
-		b.cond.Wait()
+// batch returns an empty batch for the router to fill.
+func (q *shardQueue) batch() []trace.Request {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if n := len(q.free); n > 0 {
+		b := q.free[n-1]
+		q.free = q.free[:n-1]
+		return b
 	}
-	b.mu.Unlock()
+	return make([]trace.Request, 0, reqBatchLen)
 }
 
-// shardSource adapts a shard's queue to trace.Source for its engine. seq
-// tracks the ordinal of the request most recently yielded — the relay tags
-// every event the engine emits between Next calls with it, which is exact
-// because the engine fully processes one request before pulling the next.
-type shardSource struct {
-	name  string
-	q     *shardQueue
-	bl    *backlog
-	relay *shardRelay
-	cur   reqBatch
-	pos   int
-	seq   int64
-}
+// shardRec is one request a shard pulled, as the merger replays it. Its
+// eviction batches are recBatch.evs[ev0:ev1], in emission order; OnRequest
+// fired before reqAt of them and OnResult before resAt (-1 when the engine
+// did not get that far: a zero-page request, the horizon drain of a
+// stopped engine, a request the engine failed on). The merger sets
+// req.Index and req.Warm from the ordinal.
+type shardRec struct {
+	ev0, ev1     int32
+	reqAt, resAt int32
 
-func (s *shardSource) Name() string { return s.name }
-func (s *shardSource) Err() error   { return nil }
-
-func (s *shardSource) Next() (trace.Request, bool) {
-	for {
-		if s.pos < len(s.cur.reqs) {
-			r := s.cur.reqs[s.pos]
-			s.pos++
-			s.seq = r.seq
-			return r.req, true
-		}
-		b, ok := s.q.pop()
-		if !ok {
-			return trace.Request{}, false
-		}
-		if n := len(b.reqs); n > 0 {
-			s.bl.sub(n)
-		}
-		if b.watermark > 0 {
-			s.relay.watermark(b.watermark)
-		}
-		s.cur, s.pos = b, 0
-	}
-}
-
-// shardEvent kinds inside an eventBatch.
-type shardEventKind uint8
-
-const (
-	sevRequest shardEventKind = iota
-	sevEviction
-	sevResult
-	sevWatermark
-)
-
-// shardEvent is one relayed engine event (or a watermark), tagged with the
-// owning request's global ordinal. Slice fields point into the batch's
-// arenas.
-type shardEvent struct {
-	kind shardEventKind
-	seq  int64
-
-	req RequestEvent // sevRequest, sevResult (already ordinal-rewritten)
-
-	// sevResult
-	res        cache.Result
+	req        RequestEvent
+	res        cache.Result // slices carved from the batch's arenas
 	completion int64
 	prefetched int
 	nodeCount  int
 	blame      Blame
 	occ        []int
-
-	// sevEviction
-	evKind      EvictionKind
-	evTime      int64
-	lpns        []int64
-	transferred int64
-	durable     int64
-	scanCost    int64
 }
 
-// eventBatch is one shard→merger message. The arenas back the events'
-// slice fields so relaying a batch costs a handful of allocations total,
-// not one per event; batches recycle through a free list.
-type eventBatch struct {
-	ev   []shardEvent
+// recBatch is one shard→merger message. Its arenas back the records' and
+// eviction events' slices, so shipping a recycled batch allocates nothing.
+type recBatch struct {
+	recs []shardRec
+	evs  []EvictionEvent
 	lpns []int64
-	evs  []cache.Eviction
+	cevs []cache.Eviction
 	occ  []int
 }
 
-func (b *eventBatch) reset() {
-	b.ev = b.ev[:0]
-	b.lpns = b.lpns[:0]
+func (b *recBatch) reset() {
+	b.recs = b.recs[:0]
 	b.evs = b.evs[:0]
+	b.lpns = b.lpns[:0]
+	b.cevs = b.cevs[:0]
 	b.occ = b.occ[:0]
 }
 
-// carveLPNs appends src to the LPN arena and returns the capacity-clipped
+// carve appends src to the LPN arena and returns the capacity-clipped
 // window holding the copy. Later arena growth may reallocate the backing
 // array, but the window keeps pointing at the old one — the same trick
 // cache.ResultBuffers uses.
-func (b *eventBatch) carveLPNs(src []int64) []int64 {
+func (b *recBatch) carve(src []int64) []int64 {
 	if len(src) == 0 {
 		return nil
 	}
@@ -385,101 +311,114 @@ func (b *eventBatch) carveLPNs(src []int64) []int64 {
 	return b.lpns[mark:len(b.lpns):len(b.lpns)]
 }
 
-// shardRelay is the observer attached first on every shard engine: it
-// copies each event into the current batch, rewriting Index/Warm to the
-// request's global ordinal, and ships full batches to the merger.
-type shardRelay struct {
-	src     *shardSource
+// relay is one shard's end of the pipeline. It is the shard engine's
+// Source, yielding the requests the router queued for the shard, and its
+// first Observer, recording each pulled request's events into one
+// shardRec.
+type relay struct {
+	name string
+	q    *shardQueue
+	in   []trace.Request // batch being drained
+	pos  int
+
+	out  chan *recBatch
+	free chan *recBatch
+	b    *recBatch // batch being filled
+	open bool      // b's last record still collects events
+
 	sampler cache.OccupancySampler // nil unless capturing occupancy
-	out     chan *eventBatch
-	free    chan *eventBatch
-	cur     *eventBatch
-	warmup  int // global warmup threshold (ordinals)
 }
 
-func (r *shardRelay) batch() *eventBatch {
-	if r.cur == nil {
-		select {
-		case b := <-r.free:
-			r.cur = b
-		default:
-			r.cur = &eventBatch{ev: make([]shardEvent, 0, eventBatchLen)}
+func (r *relay) Name() string { return r.name }
+func (r *relay) Err() error   { return nil }
+
+// Next closes the previous request's record, then yields the next queued
+// request and opens its record. Before it waits for input it ships the
+// records it holds.
+func (r *relay) Next() (trace.Request, bool) {
+	r.endRecord()
+	if r.pos == len(r.in) {
+		if r.in != nil {
+			r.q.recycle(r.in)
+		}
+		b, ok := r.q.pop(false)
+		if !ok {
+			r.flush()
+			b, ok = r.q.pop(true)
+		}
+		r.in, r.pos = b, 0
+		if !ok {
+			return trace.Request{}, false
 		}
 	}
-	return r.cur
-}
-
-func (r *shardRelay) flush() {
-	if r.cur != nil && len(r.cur.ev) > 0 {
-		r.out <- r.cur
-		r.cur = nil
+	req := r.in[r.pos]
+	r.pos++
+	if r.b == nil {
+		select {
+		case r.b = <-r.free:
+		default:
+			r.b = &recBatch{recs: make([]shardRec, 0, recBatchLen)}
+		}
 	}
+	r.b.recs = append(r.b.recs, shardRec{ev0: int32(len(r.b.evs)), reqAt: -1, resAt: -1})
+	r.open = true
+	return req, true
 }
 
-func (r *shardRelay) maybeFlush() {
-	if r.cur != nil && len(r.cur.ev) >= eventBatchLen {
+// endRecord closes the open record, shipping the batch once it is full.
+func (r *relay) endRecord() {
+	if !r.open {
+		return
+	}
+	r.open = false
+	r.b.recs[len(r.b.recs)-1].ev1 = int32(len(r.b.evs))
+	if len(r.b.recs) >= recBatchLen {
 		r.flush()
 	}
 }
 
-// watermark forwards a splitter watermark downstream. It must flush so the
-// merger sees it promptly — that visibility is the liveness guarantee.
-func (r *shardRelay) watermark(seq int64) {
-	b := r.batch()
-	b.ev = append(b.ev, shardEvent{kind: sevWatermark, seq: seq})
-	r.flush()
-}
-
-// rewrite returns ev with Index/Warm recomputed from the global ordinal,
-// so merged streams are indistinguishable from a single engine's.
-func (r *shardRelay) rewrite(ev *RequestEvent) RequestEvent {
-	req := *ev
-	req.Index = int(r.src.seq)
-	req.Warm = req.Index >= r.warmup
-	return req
-}
-
-func (r *shardRelay) OnRequest(_ *Engine, ev *RequestEvent) {
-	b := r.batch()
-	b.ev = append(b.ev, shardEvent{kind: sevRequest, seq: r.src.seq, req: r.rewrite(ev)})
-	r.maybeFlush()
-}
-
-func (r *shardRelay) OnEviction(_ *Engine, ev *EvictionEvent) {
-	b := r.batch()
-	b.ev = append(b.ev, shardEvent{
-		kind: sevEviction, seq: r.src.seq,
-		evKind: ev.Kind, evTime: ev.Time, lpns: b.carveLPNs(ev.LPNs),
-		transferred: ev.Transferred, durable: ev.Durable, scanCost: ev.ScanCost,
-	})
-	r.maybeFlush()
-}
-
-func (r *shardRelay) OnResult(_ *Engine, ev *ResultEvent) {
-	b := r.batch()
-	rec := shardEvent{
-		kind: sevResult, seq: r.src.seq,
-		req:        r.rewrite(ev.Req),
-		completion: ev.Completion,
-		prefetched: ev.Prefetched,
-		nodeCount:  ev.NodeCount,
-		blame:      ev.Blame,
+// flush ships the closed records to the merger.
+func (r *relay) flush() {
+	if r.b != nil && len(r.b.recs) > 0 {
+		r.out <- r.b
+		r.b = nil
 	}
+}
+
+// rec returns the open record.
+func (r *relay) rec() *shardRec { return &r.b.recs[len(r.b.recs)-1] }
+
+func (r *relay) OnRequest(_ *Engine, ev *RequestEvent) {
+	rec := r.rec()
+	rec.req = *ev
+	rec.reqAt = int32(len(r.b.evs)) - rec.ev0
+}
+
+func (r *relay) OnEviction(_ *Engine, ev *EvictionEvent) {
+	cp := *ev
+	cp.LPNs = r.b.carve(ev.LPNs)
+	r.b.evs = append(r.b.evs, cp)
+}
+
+func (r *relay) OnResult(_ *Engine, ev *ResultEvent) {
+	b, rec := r.b, r.rec()
+	rec.resAt = int32(len(b.evs)) - rec.ev0
+	rec.completion, rec.prefetched = ev.Completion, ev.Prefetched
+	rec.nodeCount, rec.blame = ev.NodeCount, ev.Blame
 	// Deep-copy the result: its slices alias policy buffers that the next
 	// Access overwrites, and the merger reads them on another goroutine.
 	res := *ev.Res
-	res.ReadMisses = b.carveLPNs(res.ReadMisses)
-	res.Prefetches = b.carveLPNs(res.Prefetches)
-	res.Bypass = b.carveLPNs(res.Bypass)
-	if n := len(res.Evictions); n > 0 {
-		mark := len(b.evs)
-		for i := range res.Evictions {
-			src := res.Evictions[i]
-			src.LPNs = b.carveLPNs(src.LPNs)
-			src.PaddingReads = b.carveLPNs(src.PaddingReads)
-			b.evs = append(b.evs, src)
+	res.ReadMisses = b.carve(res.ReadMisses)
+	res.Prefetches = b.carve(res.Prefetches)
+	res.Bypass = b.carve(res.Bypass)
+	if len(res.Evictions) > 0 {
+		mark := len(b.cevs)
+		for _, e := range res.Evictions {
+			e.LPNs = b.carve(e.LPNs)
+			e.PaddingReads = b.carve(e.PaddingReads)
+			b.cevs = append(b.cevs, e)
 		}
-		res.Evictions = b.evs[mark:len(b.evs):len(b.evs)]
+		res.Evictions = b.cevs[mark:len(b.cevs):len(b.cevs)]
 	}
 	rec.res = res
 	if r.sampler != nil {
@@ -487,11 +426,9 @@ func (r *shardRelay) OnResult(_ *Engine, ev *ResultEvent) {
 		b.occ = r.sampler.AppendOccupancy(b.occ)
 		rec.occ = b.occ[mark:len(b.occ):len(b.occ)]
 	}
-	b.ev = append(b.ev, rec)
-	r.maybeFlush()
 }
 
-func (r *shardRelay) OnDone(_ *Engine, _ *DoneEvent) { r.flush() }
+func (r *relay) OnDone(*Engine, *DoneEvent) {}
 
 // ShardedEngine replays one source across N shard engines and re-merges
 // their event streams deterministically. Build with NewSharded, register
@@ -501,15 +438,13 @@ type ShardedEngine struct {
 	cfg ShardConfig
 	obs []Observer
 	// direct runs the single shard's engine itself instead of the
-	// splitter/relay/merger pipeline.
+	// router/relay/merger pipeline.
 	direct bool
 
 	pols    []cache.Policy
 	devs    []*ssd.Device
 	engines []*Engine
-	relays  []*shardRelay
-	queues  []*shardQueue
-	bl      *backlog
+	relays  []*relay
 
 	stoppedFeed bool // StopAfterRequests tripped
 }
@@ -522,7 +457,7 @@ func NewSharded(src trace.Source, cfg ShardConfig) (*ShardedEngine, error) {
 }
 
 // newSharded is NewSharded with the pipeline choice exposed: pipeline
-// forces the splitter/relay/merger even for one shard, so tests can hold
+// forces the router/relay/merger even for one shard, so tests can hold
 // the direct path to the pipeline's event stream.
 func newSharded(src trace.Source, cfg ShardConfig, pipeline bool) (*ShardedEngine, error) {
 	built, err := BuildShards(cfg)
@@ -535,9 +470,7 @@ func newSharded(src trace.Source, cfg ShardConfig, pipeline bool) (*ShardedEngin
 		pols:    make([]cache.Policy, cfg.Shards),
 		devs:    make([]*ssd.Device, cfg.Shards),
 		engines: make([]*Engine, cfg.Shards),
-		relays:  make([]*shardRelay, cfg.Shards),
-		queues:  make([]*shardQueue, cfg.Shards),
-		bl:      newBacklog(cfg.Shards * backlogPerShard),
+		relays:  make([]*relay, cfg.Shards),
 	}
 	for k, sh := range built {
 		s.pols[k], s.devs[k] = sh.Policy, sh.Device
@@ -546,22 +479,23 @@ func newSharded(src trace.Source, cfg ShardConfig, pipeline bool) (*ShardedEngin
 			// observers.
 			s.engines[k] = New(nil, sh.Policy, sh.Device, sh.Engine)
 		} else {
-			// Warmth is an ordinal property of the global stream; the relay
-			// rewrites it, so the shard engine itself never marks cold.
+			// Warmth is an ordinal property of the global stream; the
+			// merger sets it, so the shard engine itself never marks cold.
 			ecfg := sh.Engine
 			ecfg.WarmupRequests = 0
-			relay := &shardRelay{
-				out:    make(chan *eventBatch, outChanCap),
-				free:   make(chan *eventBatch, outChanCap+2),
-				warmup: cfg.Engine.WarmupRequests,
+			r := &relay{
+				name: src.Name(),
+				q:    newShardQueue(),
+				out:  make(chan *recBatch, outChanCap),
+				// Room for every batch in circulation: a full out
+				// channel, the one the merger reads, the one being filled.
+				free: make(chan *recBatch, outChanCap+2),
 			}
 			if cfg.CaptureOccupancy {
-				relay.sampler, _ = sh.Policy.(cache.OccupancySampler)
+				r.sampler, _ = sh.Policy.(cache.OccupancySampler)
 			}
-			srcK := &shardSource{name: src.Name(), q: newShardQueue(), bl: s.bl, relay: relay}
-			relay.src = srcK
-			s.engines[k], s.relays[k], s.queues[k] = New(srcK, sh.Policy, sh.Device, ecfg), relay, srcK.q
-			s.engines[k].Observe(relay)
+			s.engines[k], s.relays[k] = New(r, sh.Policy, sh.Device, ecfg), r
+			s.engines[k].Observe(r)
 		}
 		if cfg.ShardObservers != nil {
 			s.engines[k].Observe(cfg.ShardObservers(k, s.engines[k])...)
@@ -684,148 +618,61 @@ func (s *ShardedEngine) shardOf(lpn int64) int {
 	return RouteLPN(lpn, s.cfg.TenantBoundaries, s.cfg.TenantRegionPages, s.cfg.Shards)
 }
 
-// splitResult is what the splitter goroutine reports back.
-type splitResult struct {
-	hasRequests  bool
-	firstArrival int64
-	lastArrival  int64
-	err          error
-}
-
-// split routes the source across the shard queues. It runs on its own
-// goroutine and owns the source.
-func (s *ShardedEngine) split(res *splitResult) {
-	n := s.cfg.Shards
-	pageSize := s.devs[0].PageSize()
-	pending := make([][]seqReq, n)
-	closed := false
-	closeAll := func() {
-		if closed {
-			return
-		}
-		closed = true
-		for k := 0; k < n; k++ {
-			if len(pending[k]) > 0 {
-				s.bl.add(len(pending[k]))
-				s.queues[k].push(reqBatch{reqs: pending[k]})
-				pending[k] = nil
-			}
-			s.queues[k].close()
-		}
-	}
-	defer closeAll()
-
-	fed := 0
-	for i := int64(0); ; i++ {
-		req, ok := s.src.Next()
-		if !ok {
-			break
-		}
-		if !res.hasRequests {
-			res.hasRequests = true
-			res.firstArrival = req.Time
-		}
-		res.lastArrival = req.Time
-		if closed {
-			continue // post-crash horizon drain: arrivals only
-		}
-
-		first, pages := req.PageSpan(pageSize)
-		k := s.shardOf(first)
-		pending[k] = append(pending[k], seqReq{req: req, seq: i})
-		if len(pending[k]) >= reqBatchLen {
-			s.bl.add(len(pending[k]))
-			s.queues[k].push(reqBatch{reqs: pending[k]})
-			pending[k] = nil
-		}
-		if pages > 0 {
-			fed++
-			if s.cfg.StopAfterRequests > 0 && fed >= s.cfg.StopAfterRequests {
-				// Global power-loss point: deliver everything routed so
-				// far (including this request) and cut the stream.
-				s.stoppedFeed = true
-				closeAll()
-				continue
-			}
-		}
-		if i%watermarkEvery == watermarkEvery-1 {
-			for k := 0; k < n; k++ {
-				if len(pending[k]) > 0 {
-					s.bl.add(len(pending[k]))
-					s.queues[k].push(reqBatch{reqs: pending[k]})
-					pending[k] = nil
-				} else {
-					s.queues[k].push(reqBatch{watermark: i + 1})
-				}
-			}
-			// Wait (if at the soft bound) only after every shard has
-			// fresh progress information — the no-deadlock invariant.
-			s.bl.waitBelow()
-		}
-	}
-	res.err = s.src.Err()
-}
-
 // Run replays the source across the shards and returns the merged run
-// summary. It may be called once per ShardedEngine.
-func (s *ShardedEngine) Run() (DoneEvent, error) {
+// summary. It may be called once per ShardedEngine. The source is read
+// ahead on a filler goroutine, joined before Run returns.
+func (s *ShardedEngine) Run() (done DoneEvent, err error) {
+	ahead := trace.NewReadAhead(s.src)
+	defer ahead.Close()
 	if s.direct {
-		return s.runDirect()
+		prof.Do("engine", 0, func() { done, err = s.runDirect(ahead) })
+	} else {
+		prof.Do("router", -1, func() { done, err = s.runPipeline(ahead) })
 	}
+	return done, err
+}
+
+// runPipeline runs two or more shards: each shard's engine on its own
+// goroutine, the router and merger on the caller's.
+func (s *ShardedEngine) runPipeline(src trace.Source) (DoneEvent, error) {
 	n := s.cfg.Shards
-
-	var split splitResult
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		s.split(&split)
-	}()
-
 	errs := make([]error, n)
 	dones := make([]DoneEvent, n)
-	for k := 0; k < n; k++ {
+	var wg sync.WaitGroup
+	for k, r := range s.relays {
 		wg.Add(1)
-		go func(k int) {
+		go func() {
 			defer wg.Done()
-			dones[k], errs[k] = s.engines[k].Run()
-			// On an engine error the queue may still hold batches the
-			// splitter accounted to the backlog; drain them so the
-			// splitter's soft-bound wait can always make progress.
-			for {
-				b, ok := s.queues[k].pop()
-				if !ok {
-					break
-				}
-				if len(b.reqs) > 0 {
-					s.bl.sub(len(b.reqs))
-				}
-			}
-			s.relays[k].flush()
-			close(s.relays[k].out)
-		}(k)
+			prof.Do("engine", k, func() { dones[k], errs[k] = s.engines[k].Run() })
+			r.endRecord()
+			r.flush()
+			close(r.out)
+		}()
 	}
 
-	processed := s.merge()
+	done, complete := s.routeAndMerge(src)
+	if !complete {
+		// A shard's records ended early: its engine failed. Stop the rest.
+		for _, r := range s.relays {
+			r.q.close()
+		}
+		for _, r := range s.relays {
+			for range r.out {
+			}
+		}
+	}
 	wg.Wait()
 
 	// Deterministic error priority: shards by index, then the source.
-	for k := 0; k < n; k++ {
-		if errs[k] != nil {
-			return DoneEvent{}, fmt.Errorf("sim: shard %d: %w", k, errs[k])
+	for k, err := range errs {
+		if err != nil {
+			return DoneEvent{}, fmt.Errorf("sim: shard %d: %w", k, err)
 		}
 	}
-	if split.err != nil {
-		return DoneEvent{}, split.err
+	if err := src.Err(); err != nil {
+		return DoneEvent{}, err
 	}
-
-	done := DoneEvent{
-		Processed:    processed,
-		HasRequests:  split.hasRequests,
-		FirstArrival: split.firstArrival,
-		LastArrival:  split.lastArrival,
-		Stopped:      s.stoppedFeed,
-	}
+	done.Stopped = s.stoppedFeed
 	for _, d := range dones {
 		done.IdleGCRuns += d.IdleGCRuns
 		if d.Stopped {
@@ -846,16 +693,226 @@ func (s *ShardedEngine) Run() (DoneEvent, error) {
 	return done, nil
 }
 
+// routeAndMerge is the caller goroutine's loop. It routes the source up to
+// routeAhead ordinals per shard past the merge point, logging each
+// ordinal's shard in a ring, and merges by walking that ring. complete is
+// false when a shard's record stream closed before its last ordinal: its
+// engine failed.
+func (s *ShardedEngine) routeAndMerge(src trace.Source) (done DoneEvent, complete bool) {
+	pageSize := s.devs[0].PageSize()
+	ring := make([]int32, len(s.relays)*routeAhead)
+	pending := make([][]trace.Request, len(s.relays))
+	ship := func(k int) {
+		if len(pending[k]) > 0 {
+			s.relays[k].q.push(pending[k])
+			pending[k] = nil
+		}
+	}
+	feeding, fed := true, 0
+	stopFeeding := func() {
+		feeding = false
+		for k, r := range s.relays {
+			ship(k)
+			r.q.close()
+		}
+	}
+	m := newMerger(s)
+	var routed, merged, in, out int // ordinals routed and merged; their ring slots
+	for {
+		for feeding && routed-merged < len(ring) {
+			req, ok := src.Next()
+			if !ok {
+				stopFeeding()
+				break
+			}
+			if !done.HasRequests {
+				done.HasRequests = true
+				done.FirstArrival = req.Time
+			}
+			done.LastArrival = req.Time
+			first, pages := req.PageSpan(pageSize)
+			k := s.shardOf(first)
+			if pending[k] == nil {
+				pending[k] = s.relays[k].q.batch()
+			}
+			if pending[k] = append(pending[k], req); len(pending[k]) == reqBatchLen {
+				ship(k)
+			}
+			ring[in] = int32(k)
+			if in++; in == len(ring) {
+				in = 0
+			}
+			routed++
+			if pages > 0 {
+				fed++
+				if stop := s.cfg.StopAfterRequests; stop > 0 && fed >= stop {
+					// Global power-loss point: deliver everything routed
+					// so far, this request included, and cut the stream.
+					s.stoppedFeed = true
+					stopFeeding()
+				}
+			}
+		}
+		if merged == routed {
+			break
+		}
+		k := int(ring[out])
+		if !m.ready(k) {
+			// Push every routed request before waiting: shard k then has
+			// the request it owes and flushes before it next blocks.
+			for j := range pending {
+				ship(j)
+			}
+			if !m.wait(k) {
+				return done, false
+			}
+		}
+		m.dispatch(k, merged)
+		if out++; out == len(ring) {
+			out = 0
+		}
+		merged++
+	}
+	// Horizon drain: a cut stream still spans the whole source (open-loop
+	// utilization covers the trace duration).
+	for {
+		req, ok := src.Next()
+		if !ok {
+			break
+		}
+		done.LastArrival = req.Time
+	}
+	done.Processed = m.processed
+	return done, true
+}
+
+// merger replays the shards' records to the merged-stream observers.
+type merger struct {
+	s      *ShardedEngine
+	heads  []mergeHead
+	aware  []ShardAware
+	warmup int
+	// Per-shard node counts fold into one global population, as a single
+	// engine over one policy would have reported.
+	nodes     []int
+	nodeSum   int
+	processed int
+	// resEv is reused per result, mirroring the single engine's zero-alloc
+	// emission contract.
+	resEv ResultEvent
+}
+
+// mergeHead is the merger's place in one shard's record stream.
+type mergeHead struct {
+	b *recBatch
+	i int
+}
+
+func newMerger(s *ShardedEngine) *merger {
+	m := &merger{
+		s:      s,
+		heads:  make([]mergeHead, len(s.relays)),
+		warmup: s.cfg.Engine.WarmupRequests,
+		nodes:  make([]int, len(s.relays)),
+	}
+	for _, o := range s.obs {
+		if sa, ok := o.(ShardAware); ok {
+			m.aware = append(m.aware, sa)
+		}
+	}
+	return m
+}
+
+// ready reports whether shard k's next record is at hand, taking a
+// shipped batch if one is waiting.
+func (m *merger) ready(k int) bool {
+	if h := &m.heads[k]; h.b != nil && h.i < len(h.b.recs) {
+		return true
+	}
+	select {
+	case b, ok := <-m.s.relays[k].out:
+		if ok {
+			m.take(k, b)
+		}
+		return ok
+	default:
+		return false
+	}
+}
+
+// wait blocks for shard k's next batch. It reports false when the shard's
+// stream closed instead.
+func (m *merger) wait(k int) bool {
+	b, ok := <-m.s.relays[k].out
+	if ok {
+		m.take(k, b)
+	}
+	return ok
+}
+
+// take makes b shard k's current batch and recycles the finished one.
+func (m *merger) take(k int, b *recBatch) {
+	h := &m.heads[k]
+	if h.b != nil {
+		h.b.reset()
+		select {
+		case m.s.relays[k].free <- h.b:
+		default:
+		}
+	}
+	h.b, h.i = b, 0
+}
+
+// dispatch replays shard k's next record, the request at ordinal ord.
+func (m *merger) dispatch(k, ord int) {
+	h := &m.heads[k]
+	rec := &h.b.recs[h.i]
+	h.i++
+	evs := h.b.evs[rec.ev0:rec.ev1]
+	for i := int32(0); ; i++ {
+		if i == rec.reqAt {
+			rec.req.Index, rec.req.Warm = ord, ord >= m.warmup
+			for _, o := range m.s.obs {
+				o.OnRequest(nil, &rec.req)
+			}
+		}
+		if i == rec.resAt {
+			m.result(k, rec)
+		}
+		if int(i) == len(evs) {
+			return
+		}
+		for _, o := range m.s.obs {
+			o.OnEviction(nil, &evs[i])
+		}
+	}
+}
+
+func (m *merger) result(k int, rec *shardRec) {
+	m.processed++
+	m.nodeSum += rec.nodeCount - m.nodes[k]
+	m.nodes[k] = rec.nodeCount
+	m.resEv = ResultEvent{
+		Req: &rec.req, Res: &rec.res,
+		Completion: rec.completion, Prefetched: rec.prefetched,
+		Processed: m.processed, NodeCount: m.nodeSum,
+		Blame: rec.blame,
+	}
+	for _, o := range m.s.obs {
+		o.OnResult(nil, &m.resEv)
+	}
+	for _, sa := range m.aware {
+		sa.OnShardResult(k, rec.occ, &m.resEv)
+	}
+}
+
 // runDirect runs a one-shard replay on the caller's goroutine: the shard's
-// engine pulls a read-ahead of the source (the filler goroutine is joined
-// before runDirect returns), and the merged-stream observers see the live
-// engine, followed by the ShardAware and stop-after duties the merger and
-// splitter would otherwise perform.
-func (s *ShardedEngine) runDirect() (DoneEvent, error) {
+// engine pulls the source itself, and the merged-stream observers see the
+// live engine, followed by the ShardAware and stop-after duties the merger
+// and router would otherwise perform.
+func (s *ShardedEngine) runDirect(src trace.Source) (DoneEvent, error) {
 	eng := s.engines[0]
-	ahead := trace.NewReadAhead(s.src)
-	defer ahead.Close()
-	eng.src = ahead
+	eng.src = src
 	tail := &directTail{s: s}
 	for _, o := range s.obs {
 		if sa, ok := o.(ShardAware); ok {
@@ -892,120 +949,4 @@ func (t *directTail) OnResult(e *Engine, ev *ResultEvent) {
 		t.s.stoppedFeed = true
 		e.Stop()
 	}
-}
-
-// merge is the deterministic sequence-number min-merge: it repeatedly
-// dispatches the event with the smallest global ordinal across all shard
-// streams. Runs on the caller's goroutine and returns the merged processed
-// count.
-func (s *ShardedEngine) merge() int {
-	n := s.cfg.Shards
-	type head struct {
-		b *eventBatch
-		i int
-	}
-	hs := make([]head, n)
-	open := make([]bool, n)
-	for k := range open {
-		open[k] = true
-	}
-	// Per-shard node counts fold into one global population, as a single
-	// engine over one policy would have reported.
-	nodes := make([]int, n)
-	nodeSum := 0
-	processed := 0
-
-	shardAware := make([]ShardAware, 0, len(s.obs))
-	for _, o := range s.obs {
-		if sa, ok := o.(ShardAware); ok {
-			shardAware = append(shardAware, sa)
-		}
-	}
-
-	// Reusable dispatch events, mirroring the single engine's zero-alloc
-	// emission contract.
-	var reqEv RequestEvent
-	var evEv EvictionEvent
-	var resEv ResultEvent
-
-	recycle := func(k int, b *eventBatch) {
-		b.reset()
-		select {
-		case s.relays[k].free <- b:
-		default:
-		}
-	}
-	// ensure blocks until shard k has a head event or its stream closed.
-	ensure := func(k int) bool {
-		h := &hs[k]
-		for {
-			if h.b != nil && h.i < len(h.b.ev) {
-				return true
-			}
-			if h.b != nil {
-				recycle(k, h.b)
-				h.b = nil
-			}
-			b, ok := <-s.relays[k].out
-			if !ok {
-				open[k] = false
-				return false
-			}
-			h.b, h.i = b, 0
-		}
-	}
-
-	for {
-		best := -1
-		bestSeq := int64(math.MaxInt64)
-		for k := 0; k < n; k++ {
-			if !open[k] || !ensure(k) {
-				continue
-			}
-			if seq := hs[k].b.ev[hs[k].i].seq; seq < bestSeq {
-				best, bestSeq = k, seq
-			}
-		}
-		if best == -1 {
-			break
-		}
-		rec := &hs[best].b.ev[hs[best].i]
-		hs[best].i++
-		switch rec.kind {
-		case sevWatermark:
-			// Progress marker only; produces no observer calls.
-		case sevRequest:
-			reqEv = rec.req
-			for _, o := range s.obs {
-				o.OnRequest(nil, &reqEv)
-			}
-		case sevEviction:
-			evEv = EvictionEvent{
-				Kind: rec.evKind, Time: rec.evTime, LPNs: rec.lpns,
-				Transferred: rec.transferred, Durable: rec.durable,
-				ScanCost: rec.scanCost,
-			}
-			for _, o := range s.obs {
-				o.OnEviction(nil, &evEv)
-			}
-		case sevResult:
-			processed++
-			nodeSum += rec.nodeCount - nodes[best]
-			nodes[best] = rec.nodeCount
-			reqEv = rec.req
-			resEv = ResultEvent{
-				Req: &reqEv, Res: &rec.res,
-				Completion: rec.completion, Prefetched: rec.prefetched,
-				Processed: processed, NodeCount: nodeSum,
-				Blame: rec.blame,
-			}
-			for _, o := range s.obs {
-				o.OnResult(nil, &resEv)
-			}
-			for _, sa := range shardAware {
-				sa.OnShardResult(best, rec.occ, &resEv)
-			}
-		}
-	}
-	return processed
 }

@@ -1,6 +1,10 @@
 package trace
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/prof"
+)
 
 // Read-ahead geometry: a filled batch is handed over per readAheadBatch
 // requests, and readAheadRing batches circulate, so the filler runs at
@@ -45,7 +49,7 @@ func NewReadAhead(src Source) *ReadAhead {
 	for i := 0; i < readAheadRing; i++ {
 		r.free <- make([]Request, 0, readAheadBatch)
 	}
-	go r.fill()
+	go prof.Do("readahead", -1, r.fill)
 	return r
 }
 

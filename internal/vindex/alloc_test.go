@@ -6,9 +6,9 @@ import (
 )
 
 // TestHeapSteadyStateAllocs pins the pooling contract: once the heap has
-// been churned warm (entries pushed, invalidated, popped, compacted), a
+// been churned warm (entries pushed, re-keyed, invalidated and popped), a
 // steady-state mix of operations allocates nothing — the same
-// AllocsPerRun convention the cache policies enforce since PR 1.
+// AllocsPerRun convention the cache policies enforce.
 func TestHeapSteadyStateAllocs(t *testing.T) {
 	var h Heap[int]
 	rng := rand.New(rand.NewSource(7))
@@ -38,8 +38,8 @@ func TestHeapSteadyStateAllocs(t *testing.T) {
 			handles[i] = h.Update(handles[i], int64(rng.Intn(64)), tieSeq, int(tieSeq))
 		default:
 			if _, ok := h.PopMin(); ok {
-				// The popped entry's handle goes stale in place; dropping
-				// it from the slice lazily keeps the step allocation-free.
+				// The popped entry's handle goes stale; finding and
+				// dropping it keeps the step allocation-free.
 				for i := range handles {
 					if !handles[i].Valid() {
 						handles[i] = handles[len(handles)-1]
@@ -51,7 +51,7 @@ func TestHeapSteadyStateAllocs(t *testing.T) {
 		}
 	}
 
-	// Warm up past every growth edge: slot array, pool, compaction.
+	// Warm up past every growth edge: slot array and pool.
 	for i := 0; i < 50000; i++ {
 		step()
 	}

@@ -1,4 +1,4 @@
-// Package vindex is the shared indexed victim-selection core: a lazy
+// Package vindex is the shared indexed victim-selection core: an indexed
 // min-heap with generation-stamped, pooled entries, plus tiny
 // fixed-candidate selectors for policies whose victim sets are small
 // device constants.
@@ -11,14 +11,12 @@
 // policy-supplied score so victim selection is O(log n):
 //
 //   - Push inserts an entry under a (score, tie) key and returns a Handle.
-//   - When an item's score changes, the policy calls Update: the old entry
-//     is invalidated in place (its generation is bumped, the entry stays
-//     in the heap) and a fresh entry is pushed. Nothing is ever removed
-//     from the middle of the heap.
-//   - PopMin sifts tournament-style toward the root and discards stale
-//     (invalidated) entries as they surface, returning the first live
-//     minimum. Stale entries therefore cost O(log n) once, at pop or
-//     compaction time, instead of O(n) re-ordering at update time.
+//   - Every entry knows its slot in the heap array, so Update re-keys an
+//     entry in place and sifts it up or down, and Invalidate removes it
+//     in place. Both cost O(log n).
+//   - The heap therefore holds exactly its live entries: PopMin and
+//     PeekMin never meet a stale one, and the slot array is as long as
+//     Len.
 //
 // Ordering is ascending (score, tie). Policies encode "largest wins" by
 // negating the score and encode their documented tie-break contract
@@ -26,12 +24,12 @@
 // the heap itself is deterministic: equal (score, tie) pairs never occur
 // in practice because ties carry a unique monotone sequence number.
 //
-// Entries are pooled per heap and recycled on pop/compaction, so a warm
-// heap allocates nothing in steady state (enforced by the package's
-// AllocsPerRun test, matching the PR 1 convention). Generations make
-// retained Handles harmless: a Handle into a recycled entry no longer
-// matches the entry's generation and Invalidate/Update on it is a no-op
-// for the old incarnation.
+// Entries are pooled per heap and recycled on pop, invalidation and
+// reset, so a warm heap allocates nothing in steady state (enforced by
+// the package's AllocsPerRun test). Generations make retained Handles
+// harmless: Update and recycling bump an entry's generation, so an older
+// Handle no longer matches it. Invalidate on such a Handle is a no-op,
+// and Update on it pushes a fresh entry.
 package vindex
 
 // Key is the heap ordering: ascending Score, ties broken by ascending
@@ -51,52 +49,42 @@ func (k Key) less(o Key) bool {
 	return k.Tie < o.Tie
 }
 
-// entry is one heap slot. Dead entries (invalidated, or superseded by an
-// Update) stay in the slot array until they surface at the root or a
-// compaction sweeps them out.
+// entry is one heap element; slot is its index in Heap.slots while it is
+// in the heap.
 type entry[V any] struct {
 	key  Key
 	val  V
-	gen  uint64 // bumped on invalidate and recycle; Handles pin a generation
-	dead bool
+	gen  uint64 // bumped on Update and recycle; Handles pin a generation
+	slot int
 	next *entry[V] // pool link
 }
 
-// Handle names one live heap entry. The zero Handle is valid and refers
-// to nothing: Invalidate and Update on it are no-ops (so a policy's "no
-// entry yet" state needs no special casing).
+// Handle names one live heap entry under one key. The zero Handle is
+// valid and refers to nothing: Invalidate on it is a no-op and Update on
+// it pushes a fresh entry (so a policy's "no entry yet" state needs no
+// special casing).
 type Handle[V any] struct {
 	e   *entry[V]
 	gen uint64
 }
 
 // Valid reports whether the handle still names a live entry.
-func (h Handle[V]) Valid() bool { return h.e != nil && h.e.gen == h.gen && !h.e.dead }
+func (h Handle[V]) Valid() bool { return h.e != nil && h.e.gen == h.gen }
 
-// Heap is the lazy min-heap. The zero value is an empty heap ready to
+// Heap is the indexed min-heap. The zero value is an empty heap ready to
 // use. Heap is not safe for concurrent use; every policy owns its own.
 type Heap[V any] struct {
 	slots []*entry[V]
 	free  *entry[V]
-	live  int
-	stale int
 	cost  int64
 }
 
-// compactSlack is the stale overhang tolerated before Invalidate triggers
-// an in-place compaction. Rebuilding costs O(n) and is amortized against
-// the >= live+compactSlack invalidations that created the garbage, so
-// update-heavy workloads stay O(log n) amortized per operation while the
-// slot array stays within a small constant factor of the live population.
-const compactSlack = 64
-
-// Len returns the number of live entries.
-func (h *Heap[V]) Len() int { return h.live }
+// Len returns the number of entries.
+func (h *Heap[V]) Len() int { return len(h.slots) }
 
 // Cost returns the cumulative victim-selection work counter: one unit per
-// entry examined while popping or peeking (stale entries skipped plus the
-// live minimum) and per level sifted. Policies difference it around an
-// eviction to report per-eviction scan cost.
+// pop or peek, plus one per level an entry is sifted down. Policies
+// difference it around an eviction to report per-eviction scan cost.
 func (h *Heap[V]) Cost() int64 { return h.cost }
 
 // Push inserts val under (score, tie) and returns its Handle.
@@ -110,132 +98,99 @@ func (h *Heap[V]) Push(score int64, tie uint64, val V) Handle[V] {
 	}
 	e.key = Key{Score: score, Tie: tie}
 	e.val = val
-	e.dead = false
 	h.slots = append(h.slots, e)
 	h.siftUp(len(h.slots) - 1)
-	h.live++
 	return Handle[V]{e: e, gen: e.gen}
 }
 
-// Invalidate marks the handle's entry stale; it reports whether a live
-// entry was actually invalidated. Stale or zero handles are no-ops. The
-// entry's storage is reclaimed lazily, when it surfaces at the root or a
-// compaction runs.
+// Invalidate removes the handle's entry; it reports whether a live entry
+// was actually removed. Stale or zero handles are no-ops.
 func (h *Heap[V]) Invalidate(hd Handle[V]) bool {
 	if !hd.Valid() {
 		return false
 	}
-	e := hd.e
-	e.dead = true
-	e.gen++
-	var zero V
-	e.val = zero
-	h.live--
-	h.stale++
-	if h.stale > h.live+compactSlack {
-		h.compact()
-	}
+	h.removeAt(hd.e.slot)
+	h.recycle(hd.e)
 	return true
 }
 
-// Update re-keys an item: the old entry (if any) is invalidated and a
-// fresh one pushed. It returns the new Handle.
+// Update re-keys the handle's entry in place and returns its new Handle;
+// the old one goes stale. A stale or zero handle pushes a fresh entry.
 func (h *Heap[V]) Update(hd Handle[V], score int64, tie uint64, val V) Handle[V] {
-	h.Invalidate(hd)
-	return h.Push(score, tie, val)
+	if !hd.Valid() {
+		return h.Push(score, tie, val)
+	}
+	e := hd.e
+	e.key = Key{Score: score, Tie: tie}
+	e.val = val
+	e.gen++
+	h.fix(e.slot)
+	return Handle[V]{e: e, gen: e.gen}
 }
 
-// PopMin removes and returns the live minimum, skipping (and recycling)
-// stale entries as they surface. ok is false when the heap is empty.
+// PopMin removes and returns the minimum. ok is false when the heap is
+// empty.
 func (h *Heap[V]) PopMin() (val V, ok bool) {
-	for len(h.slots) > 0 {
-		root := h.slots[0]
-		h.removeRoot()
-		h.cost++
-		if root.dead {
-			h.stale--
-			h.recycle(root)
-			continue
-		}
-		h.live--
-		val = root.val
-		h.recycle(root)
-		return val, true
+	if len(h.slots) == 0 {
+		return val, false
 	}
-	var zero V
-	return zero, false
+	h.cost++
+	root := h.slots[0]
+	val = root.val
+	h.removeAt(0)
+	h.recycle(root)
+	return val, true
 }
 
-// PeekMin returns the live minimum without removing it, discarding stale
-// roots on the way. ok is false when the heap is empty.
+// PeekMin returns the minimum without removing it. ok is false when the
+// heap is empty.
 func (h *Heap[V]) PeekMin() (val V, ok bool) {
-	for len(h.slots) > 0 {
-		root := h.slots[0]
-		if !root.dead {
-			h.cost++
-			return root.val, true
-		}
-		h.removeRoot()
-		h.cost++
-		h.stale--
-		h.recycle(root)
+	if len(h.slots) == 0 {
+		return val, false
 	}
-	var zero V
-	return zero, false
+	h.cost++
+	return h.slots[0].val, true
 }
 
-// Reset empties the heap, recycling every entry (live and stale) into the
-// pool. Handles into the heap become stale.
+// Reset empties the heap, recycling every entry into the pool. Handles
+// into the heap become stale.
 func (h *Heap[V]) Reset() {
-	for _, e := range h.slots {
+	for i, e := range h.slots {
 		h.recycle(e)
+		h.slots[i] = nil
 	}
 	h.slots = h.slots[:0]
-	h.live, h.stale = 0, 0
 }
 
 // recycle returns an entry to the pool, bumping its generation so any
 // retained Handle can never match the next incarnation.
 func (h *Heap[V]) recycle(e *entry[V]) {
 	e.gen++
-	e.dead = false
 	var zero V
 	e.val = zero
 	e.next = h.free
 	h.free = e
 }
 
-// removeRoot detaches slot 0 and restores the heap property.
-func (h *Heap[V]) removeRoot() {
+// removeAt detaches slot i: the last entry takes its place and is sifted
+// to where it belongs.
+func (h *Heap[V]) removeAt(i int) {
 	last := len(h.slots) - 1
-	h.slots[0] = h.slots[last]
+	e := h.slots[last]
 	h.slots[last] = nil
 	h.slots = h.slots[:last]
-	if last > 0 {
-		h.siftDown(0)
+	if i < last {
+		h.slots[i] = e
+		e.slot = i
+		h.fix(i)
 	}
 }
 
-// compact removes every stale entry in place and re-heapifies (Floyd's
-// bottom-up build). Called from Invalidate once garbage exceeds the live
-// population by compactSlack.
-func (h *Heap[V]) compact() {
-	kept := h.slots[:0]
-	for _, e := range h.slots {
-		if e.dead {
-			h.stale--
-			h.recycle(e)
-			continue
-		}
-		kept = append(kept, e)
-	}
-	// Clear the tail so recycled pointers do not linger in the backing
-	// array past the new length.
-	for i := len(kept); i < len(h.slots); i++ {
-		h.slots[i] = nil
-	}
-	h.slots = kept
-	for i := len(h.slots)/2 - 1; i >= 0; i-- {
+// fix restores the heap property around slot i after its key changed.
+func (h *Heap[V]) fix(i int) {
+	if i > 0 && h.slots[i].key.less(h.slots[(i-1)/2].key) {
+		h.siftUp(i)
+	} else {
 		h.siftDown(i)
 	}
 }
@@ -244,13 +199,16 @@ func (h *Heap[V]) siftUp(i int) {
 	e := h.slots[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !e.key.less(h.slots[parent].key) {
+		p := h.slots[parent]
+		if !e.key.less(p.key) {
 			break
 		}
-		h.slots[i] = h.slots[parent]
+		h.slots[i] = p
+		p.slot = i
 		i = parent
 	}
 	h.slots[i] = e
+	e.slot = i
 }
 
 func (h *Heap[V]) siftDown(i int) {
@@ -265,14 +223,17 @@ func (h *Heap[V]) siftDown(i int) {
 		if r := child + 1; r < n && h.slots[r].key.less(h.slots[child].key) {
 			child = r
 		}
-		if !h.slots[child].key.less(e.key) {
+		c := h.slots[child]
+		if !c.key.less(e.key) {
 			break
 		}
-		h.slots[i] = h.slots[child]
+		h.slots[i] = c
+		c.slot = i
 		h.cost++
 		i = child
 	}
 	h.slots[i] = e
+	e.slot = i
 }
 
 // Best returns the index of the smallest score, the first index winning

@@ -1,6 +1,7 @@
 package vindex
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -126,11 +127,11 @@ func TestHeapDifferential(t *testing.T) {
 					t.Fatalf("seed %d step %d: PeekMin = (%d,%v), naive = (%d,%v)", seed, step, got, gotOK, want, wantOK)
 				}
 			}
-			if h.Len() != len(m.items) {
-				t.Fatalf("seed %d step %d: Len = %d, naive = %d", seed, step, h.Len(), len(m.items))
+			if h.Len() != len(m.items) || len(h.slots) != h.Len() {
+				t.Fatalf("seed %d step %d: Len = %d (%d slots), naive = %d", seed, step, h.Len(), len(h.slots), len(m.items))
 			}
-			// Occasional full reset exercises pooled recycling of live
-			// and stale entries together.
+			// Occasional full reset exercises pooled recycling of every
+			// entry at once.
 			if step%1024 == 1023 {
 				h.Reset()
 				m.items = m.items[:0]
@@ -228,46 +229,68 @@ func TestHandleGenerations(t *testing.T) {
 	_ = hd2
 }
 
-// TestCompaction forces the stale population far past the live one and
-// checks the heap stays correct and bounded afterwards.
-func TestCompaction(t *testing.T) {
-	var h Heap[int]
-	// Churn: push then immediately invalidate, far beyond compactSlack,
-	// with a handful of survivors interleaved.
-	var keep []Handle[int]
-	for i := 0; i < 10*compactSlack; i++ {
-		hd := h.Push(int64(i%7), uint64(i+1), i)
-		if i%97 == 0 {
-			keep = append(keep, hd)
-			continue
+// TestHeapHoldsOnlyLiveEntriesAndPopsInLogTime pins the indexed heap's
+// bounds: after any mix of Push, Update, Invalidate and PopMin the slot
+// array holds exactly Len entries (nothing stale lingers), and each
+// PopMin costs at most 1 + floor(log2 Len) — one for the pop plus one per
+// level the replacement root sinks.
+func TestHeapHoldsOnlyLiveEntriesAndPopsInLogTime(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var h Heap[int]
+		var handles []Handle[int] // live handles; value i is at pos[i]
+		pos := map[int]int{}
+		drop := func(v int) {
+			i, last := pos[v], len(handles)-1
+			delete(pos, v)
+			if i < last {
+				handles[i] = handles[last]
+				pos[handles[i].e.val] = i
+			}
+			handles = handles[:last]
 		}
-		h.Invalidate(hd)
-	}
-	if got, bound := len(h.slots), h.live+compactSlack+1; got > bound {
-		t.Fatalf("slot array grew unbounded: %d slots for %d live (bound %d)", got, h.live, bound)
-	}
-	// Survivors must still pop in (score, tie) order.
-	var last Key
-	first := true
-	n := 0
-	for {
-		v, ok := h.PeekMin()
-		if !ok {
-			break
+		var tieSeq uint64
+		for step := 0; step < 200000; step++ {
+			// Grow toward ~16Ki entries early, then churn around it.
+			op := rng.Intn(10)
+			if step < 50000 && op >= 6 {
+				op = 0
+			}
+			switch {
+			case op < 4 || len(handles) == 0:
+				tieSeq++
+				pos[int(tieSeq)] = len(handles)
+				handles = append(handles, h.Push(int64(rng.Intn(1024)), tieSeq, int(tieSeq)))
+			case op < 6:
+				i := rng.Intn(len(handles))
+				tieSeq++
+				delete(pos, handles[i].e.val)
+				pos[int(tieSeq)] = i
+				handles[i] = h.Update(handles[i], int64(rng.Intn(1024)), tieSeq, int(tieSeq))
+			case op < 8:
+				i := rng.Intn(len(handles))
+				hd := handles[i]
+				drop(hd.e.val)
+				if !h.Invalidate(hd) {
+					t.Fatalf("seed %d step %d: Invalidate on a live handle did nothing", seed, step)
+				}
+			default:
+				n := h.Len()
+				before := h.Cost()
+				v, ok := h.PopMin()
+				if !ok {
+					t.Fatalf("seed %d step %d: PopMin on %d entries failed", seed, step, n)
+				}
+				floorLog2 := bits.Len(uint(n)) - 1
+				if cost := h.Cost() - before; cost > int64(1+floorLog2) {
+					t.Fatalf("seed %d step %d: PopMin over %d entries cost %d, bound %d", seed, step, n, cost, 1+floorLog2)
+				}
+				drop(v)
+			}
+			if len(h.slots) != h.Len() || h.Len() != len(handles) {
+				t.Fatalf("seed %d step %d: %d slots, Len %d, %d live handles", seed, step, len(h.slots), h.Len(), len(handles))
+			}
 		}
-		v2, ok2 := h.PopMin()
-		if !ok2 || v2 != v {
-			t.Fatalf("PeekMin %d then PopMin (%d,%v) disagree", v, v2, ok2)
-		}
-		k := Key{Score: int64(v % 7), Tie: uint64(v + 1)}
-		if !first && k.less(last) {
-			t.Fatalf("out-of-order pop: %v after %v", k, last)
-		}
-		last, first = k, false
-		n++
-	}
-	if n != len(keep) {
-		t.Fatalf("popped %d survivors, want %d", n, len(keep))
 	}
 }
 
