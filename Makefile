@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all check fmt-check test race test-race race-sharded loc report-check fuzz-smoke ssdcheck-quick ssdcheck-nightly soak-serve soak-gc obs-smoke perfbench-smoke bench bench-smoke bench-json bench-sharded bench-capacity bench-capacity-smoke bench-gc experiments experiments-full lint
+.PHONY: all check fmt-check test race test-race race-sharded loc report-check fuzz-smoke ssdcheck-quick ssdcheck-nightly soak-serve soak-gc obs-smoke perfbench-smoke bench bench-smoke bench-json bench-sharded bench-capacity bench-gc experiments experiments-full lint
 
 all: test
 
@@ -169,16 +169,6 @@ bench-capacity:
 	go run ./cmd/benchjson < bench-capacity.out > BENCH_PR8.json
 	@rm -f bench-capacity.out
 	@echo wrote BENCH_PR8.json
-
-# bench-capacity-smoke is the CI slice: the indexed 64 MB capacity
-# points, gated at 10% pages/s regression against the committed baseline.
-# Only the indexed rows are gated — they are the surface this PR protects
-# and they run enough iterations to be stable; the linear reference scans
-# iterate too few times at this benchtime to gate that tightly.
-bench-capacity-smoke:
-	go test -run '^$$' -bench 'BenchmarkCapacityEviction/.*/indexed/cap=64MB$$' -benchtime 300ms -benchmem . > bench-capacity-smoke.out
-	go run ./cmd/benchjson -old BENCH_PR8.json -gate 'pages/s=0.9' < bench-capacity-smoke.out > /dev/null
-	@rm -f bench-capacity-smoke.out
 
 # bench-gc regenerates the GC-scheduling tail baseline: the bursty
 # open-loop step with greedy foreground-only GC versus the preemptible

@@ -11,11 +11,13 @@ package repro
 //   - p99-evict-ns   99th percentile latency of an Access that evicted —
 //                    the eviction stall a request actually observes
 //
-// `make bench-capacity` regenerates BENCH_PR8.json from the full sweep;
-// CI runs only the cap=64MB smoke slice and gates pages/s against the
-// committed baseline via benchjson -gate (see docs/PERFORMANCE.md).
+// `make bench-capacity` regenerates BENCH_PR8.json from the full sweep
+// (see docs/PERFORMANCE.md). No gate reads these wall-clock figures: the
+// eviction cost bound is TestIndexedVictimScanIsLogarithmic
+// (internal/cache), which counts victim-scan steps instead.
 
 import (
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -85,6 +87,9 @@ func benchCapacityEviction(b *testing.B, mk func(int) cache.Policy, capPages int
 	rng := newSplitMix(uint64(capPages)*2654435761 + 1)
 	var pages, evictions, evictNs int64
 	stalls := make([]int64, 0, b.N)
+	// Collect the fill's garbage now, so its marking and write barriers
+	// do not run into the timed loop.
+	runtime.GC()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		now += 1000

@@ -135,6 +135,33 @@ func (a *Array) Program(block int) (int64, error) {
 	return ppn, nil
 }
 
+// ProgramRun programs the next n sequential pages of the given block in
+// one step, leaving the array exactly as n fault-free Program calls would,
+// and returns the first page's PPN. It serves bulk fills (an aged device's
+// preconditioning), so it refuses an array with a fault injector attached,
+// whose programs may fail page by page.
+func (a *Array) ProgramRun(block, n int) (int64, error) {
+	if a.inj != nil {
+		return 0, fmt.Errorf("flash: program run with a fault injector attached")
+	}
+	if a.bad[block] {
+		return 0, fmt.Errorf("flash: program on retired block %d", block)
+	}
+	np := int(a.nextPage[block])
+	if n < 1 || np+n > a.p.PagesPerBlock {
+		return 0, fmt.Errorf("flash: program run of %d pages at page %d of block %d", n, np, block)
+	}
+	ppn := a.p.PPN(block, np)
+	run := a.pages[ppn : ppn+int64(n)]
+	for i := range run {
+		run[i] = PageValid
+	}
+	a.nextPage[block] += int32(n)
+	a.validCount[block] += int32(n)
+	a.programs += int64(n)
+	return ppn, nil
+}
+
 // Read counts a page read. Reading a free page is an FTL bug.
 func (a *Array) Read(ppn int64) error {
 	if a.pages[ppn] == PageFree {

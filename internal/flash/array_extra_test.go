@@ -1,6 +1,11 @@
 package flash
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+
+	"repro/internal/fault"
+)
 
 func TestArrayStateAccessors(t *testing.T) {
 	a, err := NewArray(tinyParams())
@@ -29,6 +34,70 @@ func TestArrayStateAccessors(t *testing.T) {
 	}
 	if a.State(0) != PageInvalid {
 		t.Fatal("invalidated page state wrong")
+	}
+}
+
+// TestProgramRunMatchesPrograms: a run of n pages leaves the array exactly
+// as n Program calls do, from a fresh block and from a partly programmed
+// one, and an impossible run is refused without touching the array.
+func TestProgramRunMatchesPrograms(t *testing.T) {
+	p := tinyParams()
+	p.PagesPerBlock = 6
+	for _, c := range []struct{ before, n int }{{0, 1}, {0, 6}, {2, 3}, {5, 1}} {
+		run, _ := NewArray(p)
+		ref, _ := NewArray(p)
+		for i := 0; i < c.before; i++ {
+			if _, err := run.Program(1); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ref.Program(1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		first, err := run.ProgramRun(1, c.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < c.n; i++ {
+			ppn, err := ref.Program(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 && ppn != first {
+				t.Fatalf("run starts at ppn %d, Program at %d", first, ppn)
+			}
+		}
+		if !reflect.DeepEqual(run, ref) {
+			t.Fatalf("%d pages after %d: run differs from Program calls", c.n, c.before)
+		}
+		if err := run.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	a, _ := NewArray(p)
+	fresh, _ := NewArray(p)
+	for _, n := range []int{0, -1, 7} {
+		if _, err := a.ProgramRun(0, n); err == nil {
+			t.Fatalf("run of %d pages accepted", n)
+		}
+	}
+	a.markBad(2)
+	fresh.markBad(2)
+	if _, err := a.ProgramRun(2, 1); err == nil {
+		t.Fatal("run on a retired block accepted")
+	}
+	inj, err := fault.NewInjector(fault.Config{ProgramFailProb: 0.5, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.SetInjector(inj)
+	if _, err := a.ProgramRun(0, 1); err == nil {
+		t.Fatal("run with a fault injector attached accepted")
+	}
+	a.SetInjector(nil)
+	if !reflect.DeepEqual(a, fresh) {
+		t.Fatal("a refused run changed the array")
 	}
 }
 

@@ -283,15 +283,6 @@ func TestTimelineEraseAndCopyback(t *testing.T) {
 	}
 }
 
-func TestNextIdleChannel(t *testing.T) {
-	p := tinyParams()
-	tl := NewTimeline(p)
-	tl.Program(0, 0, 0)
-	if tl.NextIdleChannel() != 1 {
-		t.Fatal("idle channel selection wrong")
-	}
-}
-
 // Property: completion times from a random schedule are always >= issue time
 // and resource free times never decrease.
 func TestTimelineMonotoneProperty(t *testing.T) {

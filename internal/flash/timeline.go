@@ -102,18 +102,6 @@ func (t *Timeline) ChannelFree(channel int) int64 { return t.chanFree[channel] }
 // ChipFree returns when a chip next becomes idle.
 func (t *Timeline) ChipFree(chip int) int64 { return t.chipFree[chip] }
 
-// NextIdleChannel returns the channel whose bus frees earliest, used for
-// dynamic (striped) allocation.
-func (t *Timeline) NextIdleChannel() int {
-	best, bestAt := 0, t.chanFree[0]
-	for ch := 1; ch < len(t.chanFree); ch++ {
-		if t.chanFree[ch] < bestAt {
-			best, bestAt = ch, t.chanFree[ch]
-		}
-	}
-	return best
-}
-
 // Utilization reports how the simulated traffic used the device's
 // parallel resources over a horizon (usually the trace duration): mean
 // and peak channel-bus and die occupancy fractions, plus the imbalance

@@ -100,6 +100,8 @@ type FTL struct {
 	wear        []wearIndex // per plane: where the least-worn free blocks are
 	activeBlock []int32     // per plane: block accepting host programs, -1 if none
 	gcActive    []int32     // per plane: block accepting GC migrations, -1 if none
+	channel     []int       // per plane: its channel
+	chip        []int       // per plane: its global chip
 	stripeOrder []int32     // plane visit order for striped allocation (channels first)
 	stripeNext  int         // cursor into stripeOrder
 	boundNext   int         // cursor into stripeOrder for block-bound flushes
@@ -169,20 +171,20 @@ func newFTL(p flash.Params) (*FTL, error) {
 		tl:  flash.NewTimeline(p),
 	}
 	f.mapping = make([]int32, p.LogicalPages())
-	for i := range f.mapping {
-		f.mapping[i] = unmapped
-	}
+	fillUnmapped(f.mapping)
 	f.reverse = make([]int32, p.PhysicalPages())
-	for i := range f.reverse {
-		f.reverse[i] = unmapped
-	}
+	fillUnmapped(f.reverse)
 	planes := p.Planes()
 	f.freeBlocks = make([][]int32, planes)
 	f.wear = make([]wearIndex, planes)
 	f.activeBlock = make([]int32, planes)
 	f.gcActive = make([]int32, planes)
+	f.channel = make([]int, planes)
+	f.chip = make([]int, planes)
 	for pl := 0; pl < planes; pl++ {
 		first := p.FirstBlockOfPlane(pl)
+		f.channel[pl] = p.ChannelOfBlock(first)
+		f.chip[pl] = p.ChipOfBlock(first)
 		blocks := make([]int32, 0, p.BlocksPerPlane)
 		// Push in reverse so blocks are consumed in ascending order.
 		for b := p.BlocksPerPlane - 1; b >= 0; b-- {
@@ -209,6 +211,18 @@ func newFTL(p flash.Params) (*FTL, error) {
 		f.gcLow = 1
 	}
 	return f, nil
+}
+
+// fillUnmapped sets every entry of a translation table to unmapped,
+// doubling the filled prefix with each copy.
+func fillUnmapped(t []int32) {
+	if len(t) == 0 {
+		return
+	}
+	t[0] = unmapped
+	for n := 1; n < len(t); n *= 2 {
+		copy(t[n:], t[:n])
+	}
 }
 
 // Params returns the device geometry.
@@ -344,13 +358,13 @@ func (f *FTL) checkLPN(lpn int64) error {
 }
 
 // allocPage hands out the next programmable PPN, preferring the requested
-// plane. It pulls a fresh block when the active one fills and runs GC
-// beforehand when the plane is low on free blocks (gcAllowed breaks
-// recursion when GC itself allocates). If the plane is exhausted even after
-// GC — dynamic allocation lets valid data concentrate beyond one plane's
-// physical share — it falls back to the plane with the most free blocks, as
-// real dynamic-allocation FTLs do.
-func (f *FTL) allocPage(now int64, plane int, gcAllowed bool) (int64, int64, error) {
+// plane, and returns it with the plane it landed on. It pulls a fresh block
+// when the active one fills and runs GC beforehand when the plane is low on
+// free blocks (gcAllowed breaks recursion when GC itself allocates). If the
+// plane is exhausted even after GC — dynamic allocation lets valid data
+// concentrate beyond one plane's physical share — it falls back to the
+// plane with the most free blocks, as real dynamic-allocation FTLs do.
+func (f *FTL) allocPage(now int64, plane int, gcAllowed bool) (int64, int, int64, error) {
 	stream := streamHost
 	if !gcAllowed {
 		// GC migrations come through the gcAllowed=false path; keep their
@@ -376,12 +390,13 @@ func (f *FTL) allocPage(now int64, plane int, gcAllowed bool) (int64, int64, err
 		ppn, ok = f.allocOnPlane(fallback, stream)
 		if !ok {
 			if f.degraded {
-				return 0, now, fmt.Errorf("ftl: %w", fault.ErrReadOnly)
+				return 0, 0, now, fmt.Errorf("ftl: %w", fault.ErrReadOnly)
 			}
-			return 0, now, fmt.Errorf("ftl: planes %d and %d out of free blocks", plane, fallback)
+			return 0, 0, now, fmt.Errorf("ftl: planes %d and %d out of free blocks", plane, fallback)
 		}
+		plane = fallback
 	}
-	return ppn, now, nil
+	return ppn, plane, now, nil
 }
 
 // Write streams for hot/cold separation.
@@ -551,7 +566,7 @@ func (f *FTL) writeOne(now int64, lpn int64, plane int) (int64, int64, error) {
 	if err := f.checkLPN(lpn); err != nil {
 		return 0, 0, err
 	}
-	ppn, now, err := f.allocPage(now, plane, true)
+	ppn, plane, now, err := f.allocPage(now, plane, true)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -563,8 +578,7 @@ func (f *FTL) writeOne(now int64, lpn int64, plane int) (int64, int64, error) {
 	}
 	f.mapping[lpn] = int32(ppn)
 	f.reverse[ppn] = int32(lpn)
-	block := f.p.BlockOfPPN(ppn)
-	xfer, done := f.tl.Program(now, f.p.ChannelOfBlock(block), f.p.ChipOfBlock(block))
+	xfer, done := f.tl.Program(now, f.channel[plane], f.chip[plane])
 	f.stats.HostPrograms++
 	if f.tap != nil {
 		f.tap.TapProgram(now, done)
@@ -582,7 +596,9 @@ func (f *FTL) WriteStriped(now int64, lpns []int64) (BatchTiming, error) {
 	t := BatchTiming{Transferred: now, Durable: now}
 	for _, lpn := range lpns {
 		plane := int(f.stripeOrder[f.stripeNext])
-		f.stripeNext = (f.stripeNext + 1) % len(f.stripeOrder)
+		if f.stripeNext++; f.stripeNext == len(f.stripeOrder) {
+			f.stripeNext = 0
+		}
 		xfer, done, err := f.writeOne(now, lpn, plane)
 		if err != nil {
 			return BatchTiming{}, err
@@ -659,22 +675,22 @@ func (f *FTL) WriteOnChannel(now int64, lpns []int64, channel int) (BatchTiming,
 // flash.
 func (f *FTL) Read(now int64, lpns []int64) (int64, error) {
 	var last int64 = now
+	pagesPerPlane := f.p.BlocksPerPlane * f.p.PagesPerBlock
 	for _, lpn := range lpns {
 		if err := f.checkLPN(lpn); err != nil {
 			return 0, err
 		}
-		var block int
+		var plane int
 		if ppn := f.mapping[lpn]; ppn != unmapped {
 			if err := f.arr.Read(int64(ppn)); err != nil {
 				return 0, err
 			}
-			block = f.p.BlockOfPPN(int64(ppn))
+			plane = int(ppn) / pagesPerPlane
 		} else {
 			// Deterministic pseudo-location for pre-trace data.
-			plane := int(f.stripeOrder[int(lpn)%len(f.stripeOrder)])
-			block = f.p.FirstBlockOfPlane(plane)
+			plane = int(f.stripeOrder[int(lpn)%len(f.stripeOrder)])
 		}
-		done := f.tl.Read(now, f.p.ChannelOfBlock(block), f.p.ChipOfBlock(block))
+		done := f.tl.Read(now, f.channel[plane], f.chip[plane])
 		f.stats.HostReads++
 		if f.tap != nil {
 			f.tap.TapRead(now, done)
@@ -713,27 +729,49 @@ func (f *FTL) Trim(lpns []int64) error {
 // time and without touching the activity counters. Replaying a trace
 // against a preconditioned device makes GC behave realistically from the
 // first request instead of after a long fill phase.
+//
+// The FTL must be fresh: no page programmed, no block retired, no fault
+// injector; any other FTL gets an error. There the host-write allocator
+// would never collect garbage (no page is invalid) nor fall back to another
+// plane (no plane receives more than its capacity), so the fill skips it:
+// each LPN goes to the stripe plane WriteStriped would pick, blocks open
+// through takeFree in the same wear-levelled order, and each block's run is
+// programmed in one step, leaving the FTL as page-by-page writes would.
 func (f *FTL) Precondition(fraction float64) error {
 	if fraction < 0 || fraction > 1 {
 		return fmt.Errorf("ftl: precondition fraction %v out of [0,1]", fraction)
 	}
-	n := int64(float64(f.LogicalPages()) * fraction)
-	for lpn := int64(0); lpn < n; lpn++ {
-		plane := int(f.stripeOrder[f.stripeNext])
-		f.stripeNext = (f.stripeNext + 1) % len(f.stripeOrder)
-		ppn, _, err := f.allocPage(0, plane, true)
-		if err != nil {
-			return fmt.Errorf("ftl: precondition at lpn %d: %w", lpn, err)
-		}
-		if old := f.mapping[lpn]; old != unmapped {
-			if err := f.arr.Invalidate(int64(old)); err != nil {
-				return err
-			}
-			f.reverse[old] = unmapped
-		}
-		f.mapping[lpn] = int32(ppn)
-		f.reverse[ppn] = int32(lpn)
+	if f.arr.Programs() != 0 || f.arr.BadBlocks() != 0 {
+		return fmt.Errorf("ftl: precondition needs a fresh device, not one with %d pages programmed and %d blocks retired",
+			f.arr.Programs(), f.arr.BadBlocks())
 	}
+	n := int64(float64(f.LogicalPages()) * fraction)
+	stripes := int64(len(f.stripeOrder))
+	// Per stripe position: the next and end PPN of its open block's run.
+	cur := make([]struct{ next, end int64 }, stripes)
+	k := f.stripeNext
+	for lpn := int64(0); lpn < n; lpn++ {
+		c := &cur[k]
+		if c.next == c.end {
+			// The position receives lpn, lpn+stripes, ... up to n.
+			run := min((n-1-lpn)/stripes+1, int64(f.p.PagesPerBlock))
+			plane := int(f.stripeOrder[k])
+			block := f.takeFree(plane)
+			ppn, err := f.arr.ProgramRun(int(block), int(run))
+			if err != nil {
+				return fmt.Errorf("ftl: precondition at lpn %d: %w", lpn, err)
+			}
+			f.activeBlock[plane] = block
+			c.next, c.end = ppn, ppn+run
+		}
+		f.mapping[lpn] = int32(c.next)
+		f.reverse[c.next] = int32(lpn)
+		c.next++
+		if k++; k == len(cur) {
+			k = 0
+		}
+	}
+	f.stripeNext = k
 	return nil
 }
 
@@ -805,7 +843,7 @@ func (f *FTL) gcOnce(now int64, plane int) bool {
 		// Nothing reclaimable: every candidate is fully valid.
 		return false
 	}
-	chip := f.p.ChipOfBlock(victim)
+	chip := f.chip[plane]
 	// GC pause accounting: the collection's cost to foreground work is the
 	// die-busy time it adds to the victim's chip beyond the backlog already
 	// queued there (cross-plane migrations touch other chips too; the
@@ -822,7 +860,7 @@ func (f *FTL) gcOnce(now int64, plane int) bool {
 			continue
 		}
 		lpn := f.reverse[ppn]
-		newPPN, _, err := f.allocPage(now, plane, false)
+		newPPN, tgt, _, err := f.allocPage(now, plane, false)
 		if err != nil {
 			return false
 		}
@@ -832,14 +870,13 @@ func (f *FTL) gcOnce(now int64, plane int) bool {
 		f.reverse[ppn] = unmapped
 		f.mapping[lpn] = int32(newPPN)
 		f.reverse[newPPN] = lpn
-		if tgtChip := f.p.ChipOfPPN(newPPN); tgtChip == chip {
+		if tgtChip := f.chip[tgt]; tgtChip == chip {
 			// Same chip: in-place copyback, no channel traffic.
 			f.tl.Copyback(now, chip)
 		} else {
 			// Cross-plane fallback: data moves through the controller.
-			f.tl.Read(now, f.p.ChannelOfBlock(victim), chip)
-			tgtBlock := f.p.BlockOfPPN(newPPN)
-			f.tl.Program(now, f.p.ChannelOfBlock(tgtBlock), tgtChip)
+			f.tl.Read(now, f.channel[plane], chip)
+			f.tl.Program(now, f.channel[tgt], tgtChip)
 		}
 		f.stats.GCMigrations++
 		moved++

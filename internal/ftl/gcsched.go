@@ -274,7 +274,7 @@ func (f *FTL) startJobOnPlane(plane int) bool {
 func (f *FTL) openJob(victim, plane int, tier uint8) {
 	f.job = gcJob{
 		active: true, plane: plane, victim: victim,
-		chip: f.p.ChipOfBlock(victim), tier: tier,
+		chip: f.chip[plane], tier: tier,
 	}
 	f.sched.JobsStarted++
 	switch tier {
@@ -324,7 +324,7 @@ func (f *FTL) stepJob(now int64) (done, progress bool) {
 		}
 		sliceStart := max(now, f.tl.ChipFree(j.chip))
 		lpn := f.reverse[ppn]
-		newPPN, _, err := f.allocPage(now, j.plane, false)
+		newPPN, tgt, _, err := f.allocPage(now, j.plane, false)
 		if err != nil {
 			// No destination for the migration (degraded, or the device is
 			// out of free blocks). Abandon: the victim is still full and
@@ -340,12 +340,11 @@ func (f *FTL) stepJob(now int64) (done, progress bool) {
 		f.reverse[ppn] = unmapped
 		f.mapping[lpn] = int32(newPPN)
 		f.reverse[newPPN] = lpn
-		if tgtChip := f.p.ChipOfPPN(newPPN); tgtChip == j.chip {
+		if tgtChip := f.chip[tgt]; tgtChip == j.chip {
 			f.tl.Copyback(now, j.chip)
 		} else {
-			f.tl.Read(now, f.p.ChannelOfBlock(j.victim), j.chip)
-			tgtBlock := f.p.BlockOfPPN(newPPN)
-			f.tl.Program(now, f.p.ChannelOfBlock(tgtBlock), tgtChip)
+			f.tl.Read(now, f.channel[j.plane], j.chip)
+			f.tl.Program(now, f.channel[tgt], tgtChip)
 		}
 		f.stats.GCMigrations++
 		j.moved++

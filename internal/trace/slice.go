@@ -1,22 +1,8 @@
 package trace
 
-// Utilities for cutting traces down: time windows, request-count prefixes
-// and deterministic subsampling. Real traces are often week-long; these
-// are the standard knives for carving evaluation sections out of them.
-
-// Window returns the requests with Time in [from, to), rebased so the
-// window starts at time zero. The source trace is not modified.
-func Window(t *Trace, from, to int64) *Trace {
-	out := &Trace{Name: t.Name}
-	for _, r := range t.Requests {
-		if r.Time < from || r.Time >= to {
-			continue
-		}
-		r.Time -= from
-		out.Requests = append(out.Requests, r)
-	}
-	return out
-}
+// Utilities for cutting traces down: request-count prefixes and
+// deterministic subsampling. Real traces are often week-long; these are
+// the standard knives for carving evaluation sections out of them.
 
 // Prefix returns the first n requests (or all of them if the trace is
 // shorter). The returned trace shares no storage with the source.
@@ -38,8 +24,8 @@ func Prefix(t *Trace, n int) *Trace {
 //
 // Caveat: any subsampling dilutes temporal locality — a page accessed
 // twice may lose one of the two accesses — so hit ratios on a sampled
-// trace underestimate the original's. Use Window or Prefix when locality
-// must be preserved.
+// trace underestimate the original's. Use Prefix when locality must be
+// preserved.
 func Sample(t *Trace, k int) *Trace {
 	if k <= 1 {
 		return Prefix(t, len(t.Requests))
@@ -47,18 +33,6 @@ func Sample(t *Trace, k int) *Trace {
 	out := &Trace{Name: t.Name}
 	for i := 0; i < len(t.Requests); i += k {
 		out.Requests = append(out.Requests, t.Requests[i])
-	}
-	return out
-}
-
-// Filter returns the requests satisfying keep, preserving order and
-// timestamps.
-func Filter(t *Trace, keep func(Request) bool) *Trace {
-	out := &Trace{Name: t.Name}
-	for _, r := range t.Requests {
-		if keep(r) {
-			out.Requests = append(out.Requests, r)
-		}
 	}
 	return out
 }

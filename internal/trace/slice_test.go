@@ -12,25 +12,6 @@ func sliceFixture() *Trace {
 	return t
 }
 
-func TestWindowRebasesTime(t *testing.T) {
-	w := Window(sliceFixture(), 300, 700)
-	if w.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", w.Len())
-	}
-	if w.Requests[0].Time != 0 || w.Requests[3].Time != 300 {
-		t.Fatalf("rebase wrong: %d..%d", w.Requests[0].Time, w.Requests[3].Time)
-	}
-	if w.Requests[0].Offset != 3*4096 {
-		t.Fatal("wrong requests selected")
-	}
-}
-
-func TestWindowEmptyRange(t *testing.T) {
-	if w := Window(sliceFixture(), 5000, 6000); w.Len() != 0 {
-		t.Fatal("out-of-range window not empty")
-	}
-}
-
 func TestPrefix(t *testing.T) {
 	p := Prefix(sliceFixture(), 3)
 	if p.Len() != 3 || p.Requests[2].Offset != 2*4096 {
@@ -63,17 +44,5 @@ func TestSampleSystematic(t *testing.T) {
 	}
 	if Sample(sliceFixture(), 1).Len() != 10 {
 		t.Fatal("k=1 must keep everything")
-	}
-}
-
-func TestFilter(t *testing.T) {
-	f := Filter(sliceFixture(), func(r Request) bool { return r.Write })
-	if f.Len() != 5 {
-		t.Fatalf("Len = %d, want 5 writes", f.Len())
-	}
-	for _, r := range f.Requests {
-		if !r.Write {
-			t.Fatal("non-write survived the filter")
-		}
 	}
 }
