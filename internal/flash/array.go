@@ -2,6 +2,7 @@ package flash
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/fault"
 )
@@ -25,12 +26,20 @@ const (
 //
 // Array is purely physical: it knows nothing about logical addresses. The
 // FTL layers mapping, allocation and GC policy on top.
+//
+// Each block carries one greedy-GC score that also holds its valid count:
+// a full block scores its valid pages, an open (not yet full) block its
+// valid pages plus PagesPerBlock+1, and a retired block retiredScore. Every
+// score below PagesPerBlock is therefore a full, healthy block with
+// something to reclaim, and the greedy victim is the smallest such score
+// (GreedyVictim). An invalidation decrements the score in place, so an
+// overwrite writes one per-block word.
 type Array struct {
 	p Params
 
 	pages      []PageState // indexed by PPN
 	nextPage   []int32     // per block: next programmable in-block page
-	validCount []int32     // per block: count of PageValid pages
+	score      []int32     // per block: greedy-GC score (see Array)
 	eraseCount []int32     // per block: erases performed (wear)
 	progFails  []int32     // per block: program failures since last erase
 	bad        []bool      // per block: permanently retired (grown bad)
@@ -50,16 +59,27 @@ func NewArray(p Params) (*Array, error) {
 		return nil, err
 	}
 	blocks := p.Blocks()
-	return &Array{
+	a := &Array{
 		p:          p,
 		pages:      make([]PageState, p.PhysicalPages()),
 		nextPage:   make([]int32, blocks),
-		validCount: make([]int32, blocks),
+		score:      make([]int32, blocks),
 		eraseCount: make([]int32, blocks),
 		progFails:  make([]int32, blocks),
 		bad:        make([]bool, blocks),
-	}, nil
+	}
+	open := a.openOffset()
+	for b := range a.score {
+		a.score[b] = open
+	}
+	return a, nil
 }
+
+// retiredScore is a retired block's score: never a GC candidate.
+const retiredScore = math.MaxInt32
+
+// openOffset is what an open block's score adds to its valid count.
+func (a *Array) openOffset() int32 { return int32(a.p.PagesPerBlock) + 1 }
 
 // SetInjector attaches a fault injector; nil detaches it. With no injector
 // the array behaves exactly as a fault-free device.
@@ -76,6 +96,7 @@ func (a *Array) BadBlocks() int { return a.badCount }
 func (a *Array) markBad(block int) {
 	if !a.bad[block] {
 		a.bad[block] = true
+		a.score[block] = retiredScore
 		a.badCount++
 	}
 }
@@ -87,7 +108,61 @@ func (a *Array) Params() Params { return a.p }
 func (a *Array) State(ppn int64) PageState { return a.pages[ppn] }
 
 // ValidCount returns the number of valid pages in a block.
-func (a *Array) ValidCount(block int) int { return int(a.validCount[block]) }
+func (a *Array) ValidCount(block int) int {
+	switch s := a.score[block]; {
+	case a.bad[block]:
+		return 0 // retired blocks hold no valid data (Erase emptied them)
+	case a.BlockFull(block):
+		return int(s)
+	default:
+		return int(s - a.openOffset())
+	}
+}
+
+// GreedyVictim returns the greedy GC victim of a plane: the lowest-index
+// block with the fewest valid pages among its full, healthy blocks that
+// have at least one page to reclaim, skipping the blocks skip1 and skip2
+// (-1 skips nothing). It returns -1 when no block qualifies, and otherwise
+// the victim and its valid-page count.
+//
+// It finds the smallest score first, with no branch per block, and then
+// the first block that holds it.
+func (a *Array) GreedyVictim(plane, skip1, skip2 int) (block, valid int) {
+	first := a.p.FirstBlockOfPlane(plane)
+	scores := a.score[first : first+a.p.BlocksPerPlane]
+	limit := int32(a.p.PagesPerBlock)
+	best := minScore(scores, limit)
+	if best == limit {
+		return -1, int(limit)
+	}
+	for i, s := range scores {
+		if s == best && first+i != skip1 && first+i != skip2 {
+			return first + i, int(best)
+		}
+	}
+	// Only skipped blocks hold the smallest score: take the best of the rest.
+	block, best = -1, limit
+	for i, s := range scores {
+		if s < best && first+i != skip1 && first+i != skip2 {
+			block, best = first+i, s
+		}
+	}
+	return block, int(best)
+}
+
+// minScore returns the smallest of scores and limit. Four running minima
+// keep the loop free of branches and of one long dependency chain.
+func minScore(scores []int32, limit int32) int32 {
+	m0, m1, m2, m3 := limit, limit, limit, limit
+	for len(scores) >= 4 {
+		m0, m1, m2, m3 = min(m0, scores[0]), min(m1, scores[1]), min(m2, scores[2]), min(m3, scores[3])
+		scores = scores[4:]
+	}
+	for _, s := range scores {
+		m0 = min(m0, s)
+	}
+	return min(m0, m1, m2, m3)
+}
 
 // EraseCount returns how many times a block has been erased.
 func (a *Array) EraseCount(block int) int { return int(a.eraseCount[block]) }
@@ -124,15 +199,24 @@ func (a *Array) Program(block int) (int64, error) {
 	}
 	if a.inj != nil && a.inj.ProgramFails(a.p.ChipOfBlock(block)) {
 		a.pages[ppn] = PageInvalid
-		a.nextPage[block] = np + 1
+		a.advance(block, np+1)
 		a.progFails[block]++
 		return 0, fmt.Errorf("flash: block %d page %d: %w", block, np, fault.ErrProgramFail)
 	}
 	a.pages[ppn] = PageValid
-	a.nextPage[block] = np + 1
-	a.validCount[block]++
+	a.score[block]++
+	a.advance(block, np+1)
 	a.programs++
 	return ppn, nil
+}
+
+// advance moves a block's program frontier to page next, dropping the
+// open-block offset from its score when that fills the block.
+func (a *Array) advance(block int, next int32) {
+	a.nextPage[block] = next
+	if int(next) == a.p.PagesPerBlock {
+		a.score[block] -= a.openOffset()
+	}
 }
 
 // ProgramRun programs the next n sequential pages of the given block in
@@ -156,8 +240,8 @@ func (a *Array) ProgramRun(block, n int) (int64, error) {
 	for i := range run {
 		run[i] = PageValid
 	}
-	a.nextPage[block] += int32(n)
-	a.validCount[block] += int32(n)
+	a.score[block] += int32(n)
+	a.advance(block, int32(np+n))
 	a.programs += int64(n)
 	return ppn, nil
 }
@@ -178,7 +262,7 @@ func (a *Array) Invalidate(ppn int64) error {
 		return fmt.Errorf("flash: invalidate of non-valid page %d (state %d)", ppn, a.pages[ppn])
 	}
 	a.pages[ppn] = PageInvalid
-	a.validCount[a.p.BlockOfPPN(ppn)]--
+	a.score[a.p.BlockOfPPN(ppn)]--
 	return nil
 }
 
@@ -200,8 +284,8 @@ func (a *Array) Erase(block int) error {
 	if a.bad[block] {
 		return fmt.Errorf("flash: erase of retired block %d", block)
 	}
-	if a.validCount[block] > 0 {
-		return fmt.Errorf("flash: erase of block %d with %d valid pages", block, a.validCount[block])
+	if v := a.ValidCount(block); v > 0 {
+		return fmt.Errorf("flash: erase of block %d with %d valid pages", block, v)
 	}
 	if a.inj != nil && a.inj.EraseFails(a.p.ChipOfBlock(block)) {
 		a.markBad(block)
@@ -212,6 +296,7 @@ func (a *Array) Erase(block int) error {
 		a.pages[base+int64(i)] = PageFree
 	}
 	a.nextPage[block] = 0
+	a.score[block] = a.openOffset()
 	a.eraseCount[block]++
 	a.erases++
 	if a.inj != nil {
@@ -237,18 +322,12 @@ func (a *Array) Reads() int64 { return a.reads }
 // Erases returns the total block erases performed.
 func (a *Array) Erases() int64 { return a.erases }
 
-// CheckInvariants verifies the per-block valid counts and sequential-program
+// CheckInvariants verifies the per-block scores and sequential-program
 // frontier against the raw page states, and that retired blocks hold no
 // valid data. Intended for tests and the fault checker.
 func (a *Array) CheckInvariants() error {
 	badSeen := 0
 	for b := 0; b < a.p.Blocks(); b++ {
-		if a.bad[b] {
-			badSeen++
-			if a.validCount[b] != 0 {
-				return fmt.Errorf("flash: retired block %d still has %d valid pages", b, a.validCount[b])
-			}
-		}
 		base := a.p.PPN(b, 0)
 		valid := int32(0)
 		frontier := int32(0)
@@ -270,11 +349,23 @@ func (a *Array) CheckInvariants() error {
 				seenFree = true
 			}
 		}
-		if valid != a.validCount[b] {
-			return fmt.Errorf("flash: block %d validCount %d, recounted %d", b, a.validCount[b], valid)
-		}
 		if frontier != a.nextPage[b] {
 			return fmt.Errorf("flash: block %d nextPage %d, recounted %d", b, a.nextPage[b], frontier)
+		}
+		want := valid
+		switch {
+		case a.bad[b]:
+			badSeen++
+			if valid != 0 {
+				return fmt.Errorf("flash: retired block %d still has %d valid pages", b, valid)
+			}
+			want = retiredScore
+		case int(frontier) < a.p.PagesPerBlock:
+			want += a.openOffset()
+		}
+		if a.score[b] != want {
+			return fmt.Errorf("flash: block %d score %d, want %d (%d valid pages, frontier %d)",
+				b, a.score[b], want, valid, frontier)
 		}
 	}
 	if badSeen != a.badCount {

@@ -117,18 +117,6 @@ func TestParamsLogicalPages(t *testing.T) {
 	}
 }
 
-func TestParamsChipOfPPN(t *testing.T) {
-	p := tinyParams()
-	// Last PPN of the device lives on the last chip.
-	last := p.PhysicalPages() - 1
-	if p.ChipOfPPN(last) != p.Chips()-1 {
-		t.Fatalf("ChipOfPPN(last) = %d, want %d", p.ChipOfPPN(last), p.Chips()-1)
-	}
-	if p.ChipOfPPN(0) != 0 {
-		t.Fatal("ChipOfPPN(0) != 0")
-	}
-}
-
 func TestWearStatsInPackage(t *testing.T) {
 	a, _ := NewArray(tinyParams())
 	for i := 0; i < 4; i++ {

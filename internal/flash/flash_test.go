@@ -84,11 +84,8 @@ func TestAddressingRoundTrip(t *testing.T) {
 	for block := 0; block < p.Blocks(); block++ {
 		for page := 0; page < p.PagesPerBlock; page++ {
 			ppn := p.PPN(block, page)
-			if p.BlockOfPPN(ppn) != block || p.PageOfPPN(ppn) != page {
+			if p.BlockOfPPN(ppn) != block || int(ppn%int64(p.PagesPerBlock)) != page {
 				t.Fatalf("round trip failed for block %d page %d", block, page)
-			}
-			if ch := p.ChannelOfPPN(ppn); ch != p.ChannelOfBlock(block) {
-				t.Fatalf("channel mismatch for ppn %d: %d vs %d", ppn, ch, p.ChannelOfBlock(block))
 			}
 		}
 	}
@@ -165,7 +162,7 @@ func TestInvalidateAndErase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := a.Params(); p.PageOfPPN(ppn2) != 0 {
+	if p := a.Params(); ppn2 != p.PPN(1, 0) {
 		t.Fatal("erased block did not restart at page 0")
 	}
 	if err := a.CheckInvariants(); err != nil {

@@ -149,15 +149,6 @@ func (p *Params) ChannelOfBlock(block int) int {
 // BlockOfPPN returns the physical block containing a PPN.
 func (p *Params) BlockOfPPN(ppn int64) int { return int(ppn / int64(p.PagesPerBlock)) }
 
-// PageOfPPN returns the in-block page index of a PPN.
-func (p *Params) PageOfPPN(ppn int64) int { return int(ppn % int64(p.PagesPerBlock)) }
-
-// ChannelOfPPN returns the channel servicing a PPN.
-func (p *Params) ChannelOfPPN(ppn int64) int { return p.ChannelOfBlock(p.BlockOfPPN(ppn)) }
-
-// ChipOfPPN returns the global chip index servicing a PPN.
-func (p *Params) ChipOfPPN(ppn int64) int { return p.ChipOfBlock(p.BlockOfPPN(ppn)) }
-
 // FirstBlockOfPlane returns the first physical block index of a plane.
 func (p *Params) FirstBlockOfPlane(plane int) int { return plane * p.BlocksPerPlane }
 

@@ -122,6 +122,11 @@ type FTL struct {
 	// pickHook, when set, sees every block open: the plane, its free list
 	// and the position takeFree chose (tests check the wear index with it).
 	pickHook func(plane int, free []int32, pick int)
+	// victimHook, when set, sees every GC victim choice before it is acted
+	// on: the choosing site, the plane (-1 for startJob's pick across
+	// planes), startJob's budget and the block chosen, -1 for none (tests
+	// check the choice against the per-block reference scans with it).
+	victimHook func(site victimSite, plane int, budgetNs int64, victim int)
 
 	tap      Tap        // timing observations, nil unless telemetry is attached
 	schedTap TapGCSched // tap's optional scheduler extension, cached at SetTap
@@ -815,31 +820,23 @@ func (f *FTL) maybeGC(now int64, plane int) int64 {
 // (greedy policy), migrates its valid pages via in-chip copyback into the
 // plane's active block, erases it, and returns it to the free list. A full
 // frontier block is a candidate like any other full block: a plane whose
-// free blocks are gone may have nothing else to reclaim.
+// free blocks are gone may have nothing else to reclaim. Open and retired
+// blocks never are, nor is an in-flight scheduled job's victim.
 //
 // When the victim's erase fails (injected erase failure or grown-bad
 // detection), the block is retired instead of freed and gcOnce still
 // reports progress: the caller's loop re-selects the next-best victim —
 // the paper-stack equivalent of GC victim re-selection under erase faults.
 func (f *FTL) gcOnce(now int64, plane int) bool {
-	first := f.p.FirstBlockOfPlane(plane)
-	victim := -1
-	best := f.p.PagesPerBlock + 1
-	for b := first; b < first+f.p.BlocksPerPlane; b++ {
-		if !f.arr.BlockFull(b) {
-			continue // still-open blocks keep accepting programs
-		}
-		if f.arr.IsBad(b) {
-			continue // retired blocks are out of circulation
-		}
-		if f.job.active && b == f.job.victim {
-			continue // an in-flight scheduled job owns this victim
-		}
-		if v := f.arr.ValidCount(b); v < best {
-			best, victim = v, b
-		}
+	skip := -1
+	if f.job.active {
+		skip = f.job.victim
 	}
-	if victim < 0 || best >= f.p.PagesPerBlock {
+	victim, _ := f.arr.GreedyVictim(plane, skip, -1)
+	if f.victimHook != nil {
+		f.victimHook(victimGreedy, plane, 0, victim)
+	}
+	if victim < 0 {
 		// Nothing reclaimable: every candidate is fully valid.
 		return false
 	}

@@ -43,6 +43,15 @@ const (
 	gcTierMandatory
 )
 
+// victimSite names the code path choosing a GC victim (FTL.victimHook).
+type victimSite uint8
+
+const (
+	victimGreedy     victimSite = iota // gcOnce
+	victimJob                          // startJob
+	victimJobOnPlane                   // startJobOnPlane
+)
+
 // GCSchedConfig configures the preemptible GC scheduler.
 type GCSchedConfig struct {
 	// Enabled turns the scheduler on. False is the default and keeps the
@@ -198,6 +207,13 @@ func (f *FTL) ScheduleGC(now, budgetNs int64) int {
 // most half the block valid and projected cost within the remaining
 // budget — because with no pressure there is no reason to buy expensive
 // write amplification. Reports false when no candidate qualifies.
+//
+// Pressure is constant within a plane and cost rises with valid count, so
+// a plane's best candidate is its greedy victim, and when that victim
+// fails the gate so does every block on the plane. One candidate per plane
+// therefore decides. (Cost rises as long as a page copy takes time; with
+// zero read and program latencies every candidate on a plane costs the
+// same, and the greedy victim is the one taken.)
 func (f *FTL) startJob(budgetNs int64) bool {
 	copyCost := f.copyStepCost()
 	victim, victimPlane := -1, -1
@@ -205,6 +221,10 @@ func (f *FTL) startJob(budgetNs int64) bool {
 	var bestCost, bestPress int64
 	deferred := false
 	for pl := range f.freeBlocks {
+		b, v := f.arr.GreedyVictim(pl, int(f.activeBlock[pl]), int(f.gcActive[pl]))
+		if b < 0 {
+			continue
+		}
 		free := len(f.freeBlocks[pl])
 		tier := uint8(gcTierIdle)
 		if free < f.gcSoftLow {
@@ -214,28 +234,18 @@ func (f *FTL) startJob(budgetNs int64) bool {
 		if pressure < 1 {
 			pressure = 1
 		}
-		first := f.p.FirstBlockOfPlane(pl)
-		for b := first; b < first+f.p.BlocksPerPlane; b++ {
-			if int32(b) == f.activeBlock[pl] || int32(b) == f.gcActive[pl] || !f.arr.BlockFull(b) {
-				continue
-			}
-			if f.arr.IsBad(b) {
-				continue
-			}
-			v := f.arr.ValidCount(b)
-			if v >= f.p.PagesPerBlock {
-				continue // fully valid: nothing reclaimable
-			}
-			cost := int64(v)*copyCost + f.p.EraseLatency
-			if tier == gcTierIdle && (2*v > f.p.PagesPerBlock || cost > budgetNs) {
-				deferred = true
-				continue
-			}
-			if victim < 0 || cost*bestPress < bestCost*pressure {
-				victim, victimPlane, victimTier = b, pl, tier
-				bestCost, bestPress = cost, pressure
-			}
+		cost := int64(v)*copyCost + f.p.EraseLatency
+		if tier == gcTierIdle && (2*v > f.p.PagesPerBlock || cost > budgetNs) {
+			deferred = true
+			continue
 		}
+		if victim < 0 || cost*bestPress < bestCost*pressure {
+			victim, victimPlane, victimTier = b, pl, tier
+			bestCost, bestPress = cost, pressure
+		}
+	}
+	if f.victimHook != nil {
+		f.victimHook(victimJob, -1, budgetNs, victim)
 	}
 	if victim < 0 {
 		if deferred {
@@ -249,22 +259,14 @@ func (f *FTL) startJob(budgetNs int64) bool {
 
 // startJobOnPlane opens a background-tier job on one specific plane with
 // the plain greedy victim (fewest valid pages) — pressure is constant
-// within a plane, so the cost/pressure score reduces to valid count.
+// within a plane, so the cost/pressure score reduces to valid count. The
+// plane's open frontiers are skipped even when full.
 func (f *FTL) startJobOnPlane(plane int) bool {
-	first := f.p.FirstBlockOfPlane(plane)
-	victim, best := -1, f.p.PagesPerBlock+1
-	for b := first; b < first+f.p.BlocksPerPlane; b++ {
-		if int32(b) == f.activeBlock[plane] || int32(b) == f.gcActive[plane] || !f.arr.BlockFull(b) {
-			continue
-		}
-		if f.arr.IsBad(b) {
-			continue
-		}
-		if v := f.arr.ValidCount(b); v < best {
-			best, victim = v, b
-		}
+	victim, _ := f.arr.GreedyVictim(plane, int(f.activeBlock[plane]), int(f.gcActive[plane]))
+	if f.victimHook != nil {
+		f.victimHook(victimJobOnPlane, plane, 0, victim)
 	}
-	if victim < 0 || best >= f.p.PagesPerBlock {
+	if victim < 0 {
 		return false
 	}
 	f.openJob(victim, plane, gcTierBackground)

@@ -59,25 +59,53 @@ func TestGCStreamSeparationReducesWA(t *testing.T) {
 	t.Logf("WA with separation %.3f, without %.3f", with, without)
 }
 
+// TestSeparationKeepsStreamsInDistinctBlocks checks, after every write of
+// a skewed overwrite churn on a preconditioned device, that a plane with
+// more than one free block keeps its host and GC frontiers in different
+// blocks. With one or fewer, allocOnPlane merges the GC stream into the
+// host block on purpose. The precondition leaves cold valid pages in every
+// victim, so GC migrates.
 func TestSeparationKeepsStreamsInDistinctBlocks(t *testing.T) {
 	p := tinyParams()
+	p.BlocksPerPlane = 16
+	p.PagesPerBlock = 8
+	p.OverProvision = 0.2
 	f, err := NewConfigFull(p, true, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Fill enough to trigger GC, then check the two frontiers differ.
-	for round := 0; round < 40; round++ {
-		if _, err := f.WriteStriped(int64(round)*1000, seq(0, 16)); err != nil {
+	if err := f.Precondition(0.9); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	logical := f.LogicalPages()
+	hot := logical / 10
+	both := 0 // checks that found both frontiers open
+	for i := 0; i < 3000; i++ {
+		lpn := rng.Int63n(logical)
+		if rng.Intn(10) < 8 {
+			lpn = rng.Int63n(hot)
+		}
+		if _, err := f.WriteStriped(int64(i)*1000, []int64{lpn}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if f.Stats().GCMigrations == 0 {
-		t.Skip("no migrations on this geometry")
-	}
-	for pl := range f.activeBlock {
-		a, g := f.activeBlock[pl], f.gcActive[pl]
-		if a >= 0 && g >= 0 && a == g {
-			t.Fatalf("plane %d: host and GC streams share block %d", pl, a)
+		for pl := range f.activeBlock {
+			a, g := f.activeBlock[pl], f.gcActive[pl]
+			if a < 0 || g < 0 || f.FreeBlocks(pl) <= 1 {
+				continue
+			}
+			both++
+			if a == g {
+				t.Fatalf("write %d, plane %d with %d free blocks: host and GC streams share block %d",
+					i, pl, f.FreeBlocks(pl), a)
+			}
 		}
+	}
+	if f.Stats().GCMigrations == 0 || both == 0 {
+		t.Fatalf("%d GC migrations, %d checks with both frontiers open: the churn did not separate streams",
+			f.Stats().GCMigrations, both)
+	}
+	if err := f.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -11,8 +11,8 @@ type Quantile struct {
 	p       float64
 	n       int64
 	heights [5]float64
-	pos     [5]float64 // actual marker positions (1-based)
-	want    [5]float64 // desired marker positions
+	pos     [5]int64   // actual marker positions (1-based)
+	want    [5]float64 // desired marker positions (only 1..3 are read)
 	inc     [5]float64 // desired-position increments per observation
 }
 
@@ -22,7 +22,7 @@ func NewQuantile(p float64) *Quantile {
 		panic("metrics: quantile p must be in (0,1)")
 	}
 	q := &Quantile{p: p}
-	q.pos = [5]float64{1, 2, 3, 4, 5}
+	q.pos = [5]int64{1, 2, 3, 4, 5}
 	q.want = [5]float64{1, 1 + 2*p, 1 + 4*p, 3 + 2*p, 5}
 	q.inc = [5]float64{0, p / 2, p, (1 + p) / 2, 1}
 	return q
@@ -61,14 +61,17 @@ func (q *Quantile) Observe(v float64) {
 	for i := k + 1; i < 5; i++ {
 		q.pos[i]++
 	}
-	for i := 0; i < 5; i++ {
+	// The end markers' desired positions are never read: the first one's
+	// increment is 0 and the last one is not adjusted.
+	for i := 1; i <= 3; i++ {
 		q.want[i] += q.inc[i]
 	}
-	// Adjust the three middle markers.
+	// Adjust the three middle markers. Positions are whole numbers, so the
+	// float arithmetic below sees them exactly.
 	for i := 1; i <= 3; i++ {
-		d := q.want[i] - q.pos[i]
+		d := q.want[i] - float64(q.pos[i])
 		if (d >= 1 && q.pos[i+1]-q.pos[i] > 1) || (d <= -1 && q.pos[i-1]-q.pos[i] < -1) {
-			var dir float64 = 1
+			dir := int64(1)
 			if d < 0 {
 				dir = -1
 			}
@@ -84,16 +87,18 @@ func (q *Quantile) Observe(v float64) {
 }
 
 // parabolic is the P² piecewise-parabolic height prediction.
-func (q *Quantile) parabolic(i int, d float64) float64 {
-	return q.heights[i] + d/(q.pos[i+1]-q.pos[i-1])*
-		((q.pos[i]-q.pos[i-1]+d)*(q.heights[i+1]-q.heights[i])/(q.pos[i+1]-q.pos[i])+
-			(q.pos[i+1]-q.pos[i]-d)*(q.heights[i]-q.heights[i-1])/(q.pos[i]-q.pos[i-1]))
+func (q *Quantile) parabolic(i int, dir int64) float64 {
+	d := float64(dir)
+	below, above := float64(q.pos[i]-q.pos[i-1]), float64(q.pos[i+1]-q.pos[i])
+	return q.heights[i] + d/float64(q.pos[i+1]-q.pos[i-1])*
+		((below+d)*(q.heights[i+1]-q.heights[i])/above+
+			(above-d)*(q.heights[i]-q.heights[i-1])/below)
 }
 
 // linear is the fallback height prediction.
-func (q *Quantile) linear(i int, d float64) float64 {
-	j := i + int(d)
-	return q.heights[i] + d*(q.heights[j]-q.heights[i])/(q.pos[j]-q.pos[i])
+func (q *Quantile) linear(i int, dir int64) float64 {
+	j := i + int(dir)
+	return q.heights[i] + float64(dir)*(q.heights[j]-q.heights[i])/float64(q.pos[j]-q.pos[i])
 }
 
 // Value returns the current estimate. With five or fewer observations it

@@ -136,3 +136,134 @@ func TestQuantileMonotoneAcrossP(t *testing.T) {
 		}
 	}
 }
+
+// floatQuantile is P² with float marker positions, as Quantile was before
+// its positions became integers; the differential below holds Quantile to
+// it bit for bit.
+type floatQuantile struct {
+	n       int64
+	heights [5]float64
+	pos     [5]float64
+	want    [5]float64
+	inc     [5]float64
+}
+
+func newFloatQuantile(p float64) *floatQuantile {
+	return &floatQuantile{
+		pos:  [5]float64{1, 2, 3, 4, 5},
+		want: [5]float64{1, 1 + 2*p, 1 + 4*p, 3 + 2*p, 5},
+		inc:  [5]float64{0, p / 2, p, (1 + p) / 2, 1},
+	}
+}
+
+func (q *floatQuantile) observe(v float64) {
+	q.n++
+	if q.n <= 5 {
+		i := int(q.n) - 1
+		q.heights[i] = v
+		for ; i > 0 && q.heights[i-1] > q.heights[i]; i-- {
+			q.heights[i-1], q.heights[i] = q.heights[i], q.heights[i-1]
+		}
+		return
+	}
+	var k int
+	switch {
+	case v < q.heights[0]:
+		q.heights[0] = v
+		k = 0
+	case v < q.heights[1]:
+		k = 0
+	case v < q.heights[2]:
+		k = 1
+	case v < q.heights[3]:
+		k = 2
+	case v <= q.heights[4]:
+		k = 3
+	default:
+		q.heights[4] = v
+		k = 3
+	}
+	for i := k + 1; i < 5; i++ {
+		q.pos[i]++
+	}
+	for i := 0; i < 5; i++ {
+		q.want[i] += q.inc[i]
+	}
+	for i := 1; i <= 3; i++ {
+		d := q.want[i] - q.pos[i]
+		if (d >= 1 && q.pos[i+1]-q.pos[i] > 1) || (d <= -1 && q.pos[i-1]-q.pos[i] < -1) {
+			var dir float64 = 1
+			if d < 0 {
+				dir = -1
+			}
+			h := q.heights[i] + dir/(q.pos[i+1]-q.pos[i-1])*
+				((q.pos[i]-q.pos[i-1]+dir)*(q.heights[i+1]-q.heights[i])/(q.pos[i+1]-q.pos[i])+
+					(q.pos[i+1]-q.pos[i]-dir)*(q.heights[i]-q.heights[i-1])/(q.pos[i]-q.pos[i-1]))
+			if q.heights[i-1] < h && h < q.heights[i+1] {
+				q.heights[i] = h
+			} else {
+				j := i + int(dir)
+				q.heights[i] += dir * (q.heights[j] - q.heights[i]) / (q.pos[j] - q.pos[i])
+			}
+			q.pos[i] += dir
+		}
+	}
+}
+
+// TestQuantileMatchesFloatPositions runs Quantile and the float-position
+// reference side by side over random streams of several shapes (uniform,
+// heavy-tailed, few distinct values, drifting) and requires equal marker
+// heights and positions after every observation.
+func TestQuantileMatchesFloatPositions(t *testing.T) {
+	ps := []float64{0.01, 0.25, 0.5, 0.9, 0.999}
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(20_000)
+		shape := seed % 4
+		for _, p := range ps {
+			q, ref := NewQuantile(p), newFloatQuantile(p)
+			src := rand.New(rand.NewSource(seed*31 + int64(p*1000)))
+			for i := 0; i < n; i++ {
+				var v float64
+				switch shape {
+				case 0:
+					v = src.Float64() * 1000
+				case 1:
+					v = src.ExpFloat64() * 100
+				case 2:
+					v = float64(src.Intn(8))
+				default:
+					v = float64(i) + src.NormFloat64()*50
+				}
+				q.Observe(v)
+				ref.observe(v)
+				if q.heights != ref.heights {
+					t.Fatalf("seed %d p %v obs %d: heights %v, reference %v", seed, p, i, q.heights, ref.heights)
+				}
+			}
+			for i, pos := range q.pos {
+				if float64(pos) != ref.pos[i] {
+					t.Fatalf("seed %d p %v: positions %v, reference %v", seed, p, q.pos, ref.pos)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkQuantileObserve times one observation into each of three
+// estimators (P50, P99, P99.9), as a latency recorder feeds them.
+func BenchmarkQuantileObserve(b *testing.B) {
+	qs := [3]*Quantile{NewQuantile(0.5), NewQuantile(0.99), NewQuantile(0.999)}
+	rng := rand.New(rand.NewSource(1))
+	vs := make([]float64, 4096)
+	for i := range vs {
+		vs[i] = rng.ExpFloat64() * 100
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v := vs[i%len(vs)]
+		for _, q := range qs {
+			q.Observe(v)
+		}
+	}
+}

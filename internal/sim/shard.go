@@ -265,19 +265,23 @@ func (q *shardQueue) batch() []trace.Request {
 // eviction batches are recBatch.evs[ev0:ev1], in emission order; OnRequest
 // fired before reqAt of them and OnResult before resAt (-1 when the engine
 // did not get that far: a zero-page request, the horizon drain of a
-// stopped engine, a request the engine failed on). The merger sets
-// req.Index and req.Warm from the ordinal.
+// stopped engine, a request the engine failed on).
+//
+// Records are recycled with their batch and written in place: the relay
+// sets only the markers when it opens one, and req, res, ev and occ hold
+// a previous request's values until the engine's events overwrite them.
+// The merger reads them only where the markers say they were written.
 type shardRec struct {
 	ev0, ev1     int32
 	reqAt, resAt int32
 
-	req        RequestEvent
-	res        cache.Result // slices carved from the batch's arenas
-	completion int64
-	prefetched int
-	nodeCount  int
-	blame      Blame
-	occ        []int
+	req RequestEvent // the merger sets Index and Warm from the ordinal
+	res cache.Result // slices carved from the batch's arenas
+	// ev holds the shard engine's Completion, Prefetched, NodeCount and
+	// Blame; the merger points it at req and res and sets Processed and
+	// the global NodeCount before handing it to the observers.
+	ev  ResultEvent
+	occ []int
 }
 
 // recBatch is one shard→merger message. Its arenas back the records' and
@@ -360,7 +364,12 @@ func (r *relay) Next() (trace.Request, bool) {
 			r.b = &recBatch{recs: make([]shardRec, 0, recBatchLen)}
 		}
 	}
-	r.b.recs = append(r.b.recs, shardRec{ev0: int32(len(r.b.evs)), reqAt: -1, resAt: -1})
+	// The batch ships once it holds recBatchLen records, so the next slot
+	// is within its capacity.
+	recs := r.b.recs[:len(r.b.recs)+1]
+	rec := &recs[len(recs)-1]
+	rec.ev0, rec.reqAt, rec.resAt = int32(len(r.b.evs)), -1, -1
+	r.b.recs = recs
 	r.open = true
 	return req, true
 }
@@ -403,11 +412,12 @@ func (r *relay) OnEviction(_ *Engine, ev *EvictionEvent) {
 func (r *relay) OnResult(_ *Engine, ev *ResultEvent) {
 	b, rec := r.b, r.rec()
 	rec.resAt = int32(len(b.evs)) - rec.ev0
-	rec.completion, rec.prefetched = ev.Completion, ev.Prefetched
-	rec.nodeCount, rec.blame = ev.NodeCount, ev.Blame
+	rec.ev.Completion, rec.ev.Prefetched = ev.Completion, ev.Prefetched
+	rec.ev.NodeCount, rec.ev.Blame = ev.NodeCount, ev.Blame
 	// Deep-copy the result: its slices alias policy buffers that the next
 	// Access overwrites, and the merger reads them on another goroutine.
-	res := *ev.Res
+	rec.res = *ev.Res
+	res := &rec.res
 	res.ReadMisses = b.carve(res.ReadMisses)
 	res.Prefetches = b.carve(res.Prefetches)
 	res.Bypass = b.carve(res.Bypass)
@@ -420,7 +430,7 @@ func (r *relay) OnResult(_ *Engine, ev *ResultEvent) {
 		}
 		res.Evictions = b.cevs[mark:len(b.cevs):len(b.cevs)]
 	}
-	rec.res = res
+	rec.occ = nil
 	if r.sampler != nil {
 		mark := len(b.occ)
 		b.occ = r.sampler.AppendOccupancy(b.occ)
@@ -797,9 +807,6 @@ type merger struct {
 	nodes     []int
 	nodeSum   int
 	processed int
-	// resEv is reused per result, mirroring the single engine's zero-alloc
-	// emission contract.
-	resEv ResultEvent
 }
 
 // mergeHead is the merger's place in one shard's record stream.
@@ -888,21 +895,19 @@ func (m *merger) dispatch(k, ord int) {
 	}
 }
 
+// result completes the record's result event and replays it.
 func (m *merger) result(k int, rec *shardRec) {
+	ev := &rec.ev
 	m.processed++
-	m.nodeSum += rec.nodeCount - m.nodes[k]
-	m.nodes[k] = rec.nodeCount
-	m.resEv = ResultEvent{
-		Req: &rec.req, Res: &rec.res,
-		Completion: rec.completion, Prefetched: rec.prefetched,
-		Processed: m.processed, NodeCount: m.nodeSum,
-		Blame: rec.blame,
-	}
+	m.nodeSum += ev.NodeCount - m.nodes[k]
+	m.nodes[k] = ev.NodeCount
+	ev.Req, ev.Res = &rec.req, &rec.res
+	ev.Processed, ev.NodeCount = m.processed, m.nodeSum
 	for _, o := range m.s.obs {
-		o.OnResult(nil, &m.resEv)
+		o.OnResult(nil, ev)
 	}
 	for _, sa := range m.aware {
-		sa.OnShardResult(k, rec.occ, &m.resEv)
+		sa.OnShardResult(k, rec.occ, ev)
 	}
 }
 
