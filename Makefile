@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all check fmt-check test race test-race race-sharded loc report-check fuzz-smoke ssdcheck-quick ssdcheck-nightly soak-serve soak-gc obs-smoke perfbench-smoke bench bench-smoke bench-json bench-sharded bench-capacity bench-gc experiments experiments-full lint
+.PHONY: all check fmt-check test race test-race race-sharded loc report-check fuzz-smoke ssdcheck-quick ssdcheck-nightly soak-serve soak-gc obs-smoke perfbench-smoke bench bench-smoke experiments experiments-full lint
 
 all: test
 
@@ -116,10 +116,12 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzReqBlockOps$$' -fuzztime 10s ./internal/core
 	go test -run '^$$' -fuzz '^FuzzHTTPHandler$$' -fuzztime 10s ./internal/serve
 
-# ssdcheck-quick is the CI differential gate: 64 seeds × 4 policies of
-# randomized workloads replayed through the fast implementations and the
-# internal/oracle reference models in lockstep; any divergence is
-# delta-debugged to a minimal repro before being reported.
+# ssdcheck-quick is the CI differential gate: 64 seeds of randomized
+# workloads per policy replayed through the fast implementations and the
+# internal/oracle reference models in lockstep, in all three modes (six
+# policies with the FTL pair, the three heap-indexed ones without it, four
+# GC-scheduling flavors: 832 runs); any divergence is delta-debugged to a
+# minimal repro before being reported.
 ssdcheck-quick:
 	go run ./cmd/ssdcheck -quick -repro-dir internal/oracle/testdata/failures
 
@@ -140,46 +142,6 @@ bench:
 # sanity that the bench harness itself still works.
 bench-smoke:
 	go test -run '^$$' -bench . -benchtime=10x -benchmem ./...
-
-# bench-json regenerates the checked-in benchmark baseline (see
-# docs/PERFORMANCE.md for the workflow and how to diff against it). Each
-# PR's baseline diffs against the previous one via benchjson -old.
-bench-json:
-	go test -run '^$$' -bench 'BenchmarkPolicy|BenchmarkFigure8ResponseTime|BenchmarkStreamingReplay|BenchmarkMSRScan' -benchmem . \
-		| go run ./cmd/benchjson -old BENCH_PR3.json > BENCH_PR4.json
-	@echo wrote BENCH_PR4.json
-
-# bench-sharded regenerates the sharded-replay scaling baseline: the
-# shards=1,2,4,8 × shared/equal sweep with benchjson's derived
-# speedup-vs-1shard column (see docs/PERFORMANCE.md).
-bench-sharded:
-	go test -run '^$$' -bench 'BenchmarkShardedReplay' -benchtime 3x -benchmem . \
-		| go run ./cmd/benchjson > BENCH_PR6.json
-	@echo wrote BENCH_PR6.json
-
-# bench-capacity regenerates the victim-selection capacity-scaling
-# baseline: every switchable-scan policy, indexed vs linear, 64 MB → 4 GB
-# (see docs/PERFORMANCE.md). The linear 4 GB points are the slow part —
-# they are the baseline the index is beating.
-# The intermediate .out file (instead of a pipe) makes a benchmark
-# failure fail the target — POSIX sh has no pipefail, and a pipe would
-# report benchjson's exit status, not go test's.
-bench-capacity:
-	go test -run '^$$' -bench 'BenchmarkCapacityEviction' -benchtime 300ms -benchmem . > bench-capacity.out
-	go run ./cmd/benchjson < bench-capacity.out > BENCH_PR8.json
-	@rm -f bench-capacity.out
-	@echo wrote BENCH_PR8.json
-
-# bench-gc regenerates the GC-scheduling tail baseline: the bursty
-# open-loop step with greedy foreground-only GC versus the preemptible
-# scheduler, P99/P99.9 response as the headline metrics (see
-# docs/PERFORMANCE.md and docs/GC.md). load.Run paces wall-clock
-# arrivals, so each of the 3 iterations costs its 3 s step.
-bench-gc:
-	go test -run '^$$' -bench 'BenchmarkGCSchedTail' -benchtime 3x -benchmem . > bench-gc.out
-	go run ./cmd/benchjson < bench-gc.out > BENCH_PR10.json
-	@rm -f bench-gc.out
-	@echo wrote BENCH_PR10.json
 
 experiments:
 	go run ./cmd/experiments

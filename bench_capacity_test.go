@@ -1,20 +1,20 @@
 package repro
 
 // Capacity-scaling benchmarks for the indexed victim-selection core
-// (internal/vindex). Each policy that owns a switchable linear reference
-// scan runs in both modes across buffer capacities from the paper's 64 MB
-// up to 4 GB (4 KB pages), under steady-state eviction churn. Reported
-// metrics:
+// (internal/vindex). Each heap-indexed policy runs across buffer
+// capacities from the paper's 64 MB up to 4 GB (4 KB pages), under
+// steady-state eviction churn. Reported metrics:
 //
 //   - pages/s        raw write throughput including eviction work
 //   - ns/evict       timed span divided by eviction batches
 //   - p99-evict-ns   99th percentile latency of an Access that evicted —
 //                    the eviction stall a request actually observes
 //
-// `make bench-capacity` regenerates BENCH_PR8.json from the full sweep
-// (see docs/PERFORMANCE.md). No gate reads these wall-clock figures: the
-// eviction cost bound is TestIndexedVictimScanIsLogarithmic
-// (internal/cache), which counts victim-scan steps instead.
+// Run it with `go test -run '^$' -bench BenchmarkCapacityEviction .`; no
+// baseline is checked in (see docs/PERFORMANCE.md). No gate reads these
+// wall-clock figures: the eviction cost bound is
+// TestIndexedVictimScanIsLogarithmic (internal/cache), which counts
+// victim-scan steps instead.
 
 import (
 	"runtime"
@@ -36,7 +36,7 @@ var capacityPoints = []struct {
 	{"cap=4GB", 1 << 20},
 }
 
-// capacityPolicies are the switchable-scan policies under test.
+// capacityPolicies are the heap-indexed policies under test.
 // pagesPerBlock 64 matches the simulated device geometry.
 var capacityPolicies = []struct {
 	name string
@@ -49,19 +49,19 @@ var capacityPolicies = []struct {
 
 func BenchmarkCapacityEviction(b *testing.B) {
 	for _, pol := range capacityPolicies {
-		for _, mode := range []string{"indexed", "linear"} {
-			for _, pt := range capacityPoints {
-				b.Run(pol.name+"/"+mode+"/"+pt.label, func(b *testing.B) {
-					benchCapacityEviction(b, pol.mk, pt.pages, mode == "linear")
-				})
-			}
+		for _, pt := range capacityPoints {
+			// "indexed" keeps the row names of earlier recorded sweeps
+			// (docs/PERFORMANCE.md), so runs of older commits compare
+			// row by row.
+			b.Run(pol.name+"/indexed/"+pt.label, func(b *testing.B) {
+				benchCapacityEviction(b, pol.mk, pt.pages)
+			})
 		}
 	}
 }
 
-func benchCapacityEviction(b *testing.B, mk func(int) cache.Policy, capPages int, linear bool) {
+func benchCapacityEviction(b *testing.B, mk func(int) cache.Policy, capPages int) {
 	pol := mk(capPages)
-	pol.(cache.LinearScanSelector).SetLinearVictimScan(linear)
 	// Fill to capacity with distinct sequential pages delivered as a 3:2
 	// interleave of 4-page and 8-page requests. Block-grouping policies
 	// may evict a handful of pages on the way, so the check is a 95% floor
@@ -124,9 +124,7 @@ func benchCapacityEviction(b *testing.B, mk func(int) cache.Policy, capPages int
 		sort.Slice(stalls, func(i, j int) bool { return stalls[i] < stalls[j] })
 		b.ReportMetric(float64(stalls[len(stalls)*99/100]), "p99-evict-ns")
 	}
-	// Guard against the two modes drifting apart under benchmark load:
-	// occupancy must still equal capacity (the workload never lets the
-	// buffer drain).
+	// Occupancy must stay within capacity under benchmark load.
 	if pol.Len() > capPages {
 		b.Fatalf("policy exceeded capacity: %d > %d", pol.Len(), capPages)
 	}

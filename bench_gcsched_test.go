@@ -1,10 +1,11 @@
 package repro
 
-// The GC-scheduling tail benchmark behind `make bench-gc`: the same bursty
-// write-heavy replay against greedy foreground-only GC versus the
-// preemptible scheduler collecting in the trace's idle windows. Replay is
-// fully deterministic (simulated time end to end), so the P99/P99.9
-// response deltas recorded in BENCH_PR10.json are stable run to run.
+// The GC-scheduling tail benchmark: the same bursty write-heavy replay
+// against greedy foreground-only GC versus the preemptible scheduler
+// collecting in the trace's idle windows. Replay is fully deterministic
+// (simulated time end to end), so its P99/P99.9 response deltas are
+// stable run to run. Run it with
+// `go test -run '^$' -bench BenchmarkGCSchedTail -benchtime 3x .`.
 
 import (
 	"testing"

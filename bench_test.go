@@ -842,12 +842,10 @@ func shardedBenchTrace(tenants, n int) (*trace.Trace, []int64) {
 }
 
 // BenchmarkShardedReplay sweeps the sharded engine over shard counts and
-// sharing modes on the multi-tenant workload, with FAB — whose victim
-// search scans every resident block — at a capacity where that scan
-// dominates. EQUAL partitioning shrinks each shard's scan population by N,
-// so pages/s improves even on one core; on multi-core hosts the shard
-// goroutines add parallel speedup on top. cmd/benchjson derives the
-// speedup-vs-1shard column in BENCH_PR6.json from the pages/s metrics.
+// sharing modes on the multi-tenant workload, with FAB. EQUAL
+// partitioning shrinks each shard's victim heap by N; on multi-core hosts
+// the shard goroutines add parallel speedup on top. The speedup over one
+// shard is the ratio of the pages/s metrics; no baseline is checked in.
 func BenchmarkShardedReplay(b *testing.B) {
 	const tenants = 8
 	const totalCapacity = 32 * 1024 // pages

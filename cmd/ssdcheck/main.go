@@ -5,18 +5,19 @@
 // down to a minimal repro and (with -repro-dir) saves it as JSON for the
 // regression corpus under internal/oracle/testdata/repros.
 //
-// A second differential mode, -vindex, replays the SAME fast policy
-// against itself: indexed (heap-backed) victim selection versus the
-// paper-literal linear reference scan, across the three policies with a
-// switchable scan (fab, lfu, pud-lru). A third, -gcsched, replays
-// a greedy-GC FTL, a scheduler-enabled FTL driven by seed-derived idle
-// budgets, and the stamped oracle FTL in lockstep across four stream
-// flavors (striped, bound, mixed, trim-mix). -quick runs all three.
+// A second differential mode, -vindex, replays the three policies whose
+// victims come from a vindex heap (fab, lfu, pud-lru) against their
+// full-scan oracles without the FTL pair, over larger capacities and
+// address ranges than the FTL's 96 logical pages allow. A third,
+// -gcsched, replays a greedy-GC FTL, a scheduler-enabled FTL driven by
+// seed-derived idle budgets, and the stamped oracle FTL in lockstep
+// across four stream flavors (striped, bound, mixed, trim-mix). -quick
+// runs all three.
 //
 // Usage:
 //
 //	ssdcheck -quick                        # CI gate: 64 seeds × all policies, all modes
-//	ssdcheck -vindex                       # indexed-vs-linear victim selection only
+//	ssdcheck -vindex                       # heap-indexed policies vs oracles, no FTL
 //	ssdcheck -gcsched                      # scheduled-vs-greedy GC differential only
 //	ssdcheck -seeds 4096 -requests 512     # bigger batch
 //	ssdcheck -duration 10m                 # nightly campaign: run until the clock
@@ -41,8 +42,8 @@ import (
 
 func main() {
 	var (
-		quick    = flag.Bool("quick", false, "CI gate: 64 seeds x all policies, both modes, shrink on failure")
-		vindex   = flag.Bool("vindex", false, "run the indexed-vs-linear victim-selection differential instead of fast-vs-oracle")
+		quick    = flag.Bool("quick", false, "CI gate: 64 seeds x all policies, all three modes, shrink on failure")
+		vindex   = flag.Bool("vindex", false, "run the heap-indexed policies (fab, lfu, pud-lru) against their oracles without the FTL pair, over larger address ranges")
 		gcsched  = flag.Bool("gcsched", false, "run the scheduled-vs-greedy GC differential instead of fast-vs-oracle")
 		seed     = flag.Int64("seed", -1, "replay exactly one seed (default: campaign mode)")
 		seedBase = flag.Int64("seed-base", 0, "first seed of the campaign range")

@@ -95,27 +95,3 @@ func TestECRSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("ECR steady-state allocs/req = %v, want 0", got)
 	}
 }
-
-// The linear reference scans must stay zero-alloc too: the capacity
-// benchmarks difference the two modes, and an allocating baseline would
-// fold GC time into the comparison. Capacities run smaller here — the
-// scans are O(n) per eviction by design, and the alloc count does not
-// depend on n.
-func TestLinearScanSteadyStateAllocs(t *testing.T) {
-	cases := []struct {
-		name string
-		pol  Policy
-	}{
-		{"FAB", NewFAB(1024, 64)},
-		{"LFU", NewLFU(1024)},
-		{"PUD-LRU", NewPUDLRU(1024, 64)},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			tc.pol.(LinearScanSelector).SetLinearVictimScan(true)
-			if got := steadyStateAllocs(t, tc.pol); got > 0 {
-				t.Fatalf("%s linear-scan steady-state allocs/req = %v, want 0", tc.name, got)
-			}
-		})
-	}
-}

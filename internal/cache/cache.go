@@ -154,27 +154,14 @@ type DirtyPager interface {
 }
 
 // VictimScanReporter is implemented by policies that account the work
-// their eviction-victim selection performs: a cumulative count of
-// candidate entries examined (one per heap pop or peek plus one per level
-// sifted in the indexed mode, nodes walked in the linear reference mode).
-// The simulator differences the counter around each eviction to feed the
-// per-eviction victim-scan-cost histogram.
+// their eviction-victim selection performs: a cumulative count of heap
+// entries examined, one per pop or peek plus one per level sifted (and,
+// for PUD-LRU, one per update-count bucket visited). The simulator
+// differences the counter around each eviction to feed the per-eviction
+// victim-scan-cost histogram.
 type VictimScanReporter interface {
 	// VictimScanCost returns the cumulative victim-selection work counter.
 	VictimScanCost() int64
-}
-
-// LinearScanSelector is implemented by policies that kept their
-// pre-vindex linear victim scan as a reference mode. The differential
-// harness and the capacity benchmarks run one instance per mode and
-// require bit-identical victims; production always uses the indexed
-// mode. The mode must be chosen before the first request — switching
-// with pages buffered would leave the victim index out of sync.
-type LinearScanSelector interface {
-	// SetLinearVictimScan selects the linear reference scan (true) or the
-	// indexed vindex path (false, the default). Panics if the buffer is
-	// not empty.
-	SetLinearVictimScan(enable bool)
 }
 
 // OccupancyReporter is implemented by policies with multiple internal lists

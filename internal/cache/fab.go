@@ -1,9 +1,6 @@
 package cache
 
-import (
-	"repro/internal/list"
-	"repro/internal/vindex"
-)
+import "repro/internal/vindex"
 
 // fabGroup clusters the buffered pages that fall into one logical flash
 // block.
@@ -14,8 +11,8 @@ type fabGroup struct {
 	// breaks size ties in favor of the oldest group, which the victim
 	// index encodes as ascending seq.
 	seq uint64
-	// hd is the group's live entry in the victim index (indexed mode).
-	hd vindex.Handle[*list.Node[*fabGroup]]
+	// hd is the group's live entry in the victim index.
+	hd vindex.Handle[*fabGroup]
 }
 
 // FAB is the flash-aware buffer of Jo et al. (TCE'06): pages are grouped by
@@ -27,21 +24,18 @@ type fabGroup struct {
 //
 // Victim selection is indexed: every group keeps a vindex heap entry keyed
 // (-size, creation seq), so the fullest-oldest group pops in O(log n)
-// instead of the paper-era full walk — the walk survives as the linear
-// reference mode (LinearScanSelector) for differential validation and the
-// capacity benchmarks.
+// instead of the paper-era full walk. The walk itself is the reference
+// model oracle.FAB, which ssdcheck diffs this policy against.
 type FAB struct {
 	capacity      int
 	pagesPerBlock int64
 	pageCount     int
-	groups        PageIndex[list.Node[*fabGroup]] // by block number
-	order         list.List[*fabGroup]            // insertion order; linear mode scans it
+	groups        PageIndex[fabGroup] // by block number
 	buf           ResultBuffers
-	free          []*list.Node[*fabGroup] // recycled group nodes
+	free          []*fabGroup // recycled groups
 
-	heap     vindex.Heap[*list.Node[*fabGroup]]
+	heap     vindex.Heap[*fabGroup]
 	groupSeq uint64
-	linear   bool
 	scanCost int64
 }
 
@@ -62,7 +56,6 @@ var (
 	_ Policy             = (*FAB)(nil)
 	_ IdleEvictor        = (*FAB)(nil)
 	_ VictimScanReporter = (*FAB)(nil)
-	_ LinearScanSelector = (*FAB)(nil)
 )
 
 // Name implements Policy.
@@ -78,19 +71,11 @@ func (c *FAB) CapacityPages() int { return c.capacity }
 // accounting as the paper gives BPLRU.
 func (c *FAB) NodeBytes() int { return 24 }
 
-// NodeCount implements Policy.
-func (c *FAB) NodeCount() int { return c.order.Len() }
+// NodeCount implements Policy: one node per group.
+func (c *FAB) NodeCount() int { return c.groups.Len() }
 
 // VictimScanCost implements VictimScanReporter.
 func (c *FAB) VictimScanCost() int64 { return c.scanCost }
-
-// SetLinearVictimScan implements LinearScanSelector.
-func (c *FAB) SetLinearVictimScan(enable bool) {
-	if c.pageCount > 0 {
-		panic("cache: FAB victim-scan mode must be set before use")
-	}
-	c.linear = enable
-}
 
 // Access implements Policy.
 func (c *FAB) Access(req Request) Result {
@@ -101,7 +86,7 @@ func (c *FAB) Access(req Request) Result {
 	for i := 0; i < req.Pages; i++ {
 		blockID := lpn / c.pagesPerBlock
 		g := c.groups.Get(blockID)
-		if g != nil && g.Value.pages.has(lpn) {
+		if g != nil && g.pages.has(lpn) {
 			res.Hits++
 		} else {
 			res.Misses++
@@ -112,10 +97,9 @@ func (c *FAB) Access(req Request) Result {
 				// The group may have been evicted while making room.
 				if g = c.groups.Get(blockID); g == nil {
 					g = c.newGroup(blockID)
-					c.order.PushHead(g)
 					c.groups.Put(blockID, g)
 				}
-				g.Value.pages.add(lpn)
+				g.pages.add(lpn)
 				c.pageCount++
 				res.Inserted++
 				c.indexGroup(g)
@@ -129,66 +113,45 @@ func (c *FAB) Access(req Request) Result {
 	return res
 }
 
-// newGroup takes a group node from the free stack, or allocates one.
-func (c *FAB) newGroup(blockID int64) *list.Node[*fabGroup] {
-	var g *list.Node[*fabGroup]
+// newGroup takes a group from the free stack, or allocates one.
+func (c *FAB) newGroup(blockID int64) *fabGroup {
+	var g *fabGroup
 	if len(c.free) > 0 {
 		g = c.free[len(c.free)-1]
 		c.free = c.free[:len(c.free)-1]
 	} else {
-		g = &list.Node[*fabGroup]{Value: &fabGroup{}}
+		g = &fabGroup{}
 	}
-	fg := g.Value
-	fg.blockID = blockID
-	fg.pages.reset(blockID*c.pagesPerBlock, c.pagesPerBlock)
+	g.blockID = blockID
+	g.pages.reset(blockID*c.pagesPerBlock, c.pagesPerBlock)
 	c.groupSeq++
-	fg.seq = c.groupSeq
-	fg.hd = vindex.Handle[*list.Node[*fabGroup]]{}
+	g.seq = c.groupSeq
+	g.hd = vindex.Handle[*fabGroup]{}
 	return g
 }
 
 // indexGroup re-keys the group's victim-index entry after its size
 // changed. Score is the negated page count: the heap is a min-heap, FAB
 // evicts the largest group, and ties fall to the oldest (smallest seq).
-func (c *FAB) indexGroup(g *list.Node[*fabGroup]) {
-	if c.linear {
-		return
-	}
-	fg := g.Value
-	fg.hd = c.heap.Update(fg.hd, -int64(fg.pages.len()), fg.seq, g)
+func (c *FAB) indexGroup(g *fabGroup) {
+	g.hd = c.heap.Update(g.hd, -int64(g.pages.len()), g.seq, g)
 }
 
 // evictLargest flushes the group with the most pages, breaking ties in
-// favor of the oldest group (list tail side).
+// favor of the oldest group.
 func (c *FAB) evictLargest() Eviction {
-	var victim *list.Node[*fabGroup]
-	if c.linear {
-		best := 0
-		for n := c.order.Tail(); n != nil; n = n.Prev() {
-			c.scanCost++
-			if l := n.Value.pages.len(); l > best {
-				best, victim = l, n
-			}
-		}
-	} else {
-		before := c.heap.Cost()
-		v, ok := c.heap.PopMin()
-		c.scanCost += c.heap.Cost() - before
-		if ok {
-			victim = v
-		}
-	}
-	if victim == nil {
+	before := c.heap.Cost()
+	g, ok := c.heap.PopMin()
+	c.scanCost += c.heap.Cost() - before
+	if !ok {
 		panic("cache: FAB evict on empty buffer")
 	}
-	g := victim.Value
 	mark := c.buf.Mark()
 	c.buf.LPNs = g.pages.appendLPNs(c.buf.LPNs)
 	lpns := c.buf.Carve(mark)
-	c.order.Remove(victim)
 	c.groups.Delete(g.blockID)
 	c.pageCount -= len(lpns)
-	c.free = append(c.free, victim)
+	c.free = append(c.free, g)
 	return Eviction{LPNs: lpns, BlockBound: true}
 }
 

@@ -23,9 +23,8 @@ type lfuEntry struct {
 // selection now routes through the shared vindex heap keyed (freq, seq),
 // which selects the same page (the bucket structure's lowest-bucket LRU
 // tail is exactly the minimum (freq, seq) entry) while sharing the
-// indexed core with the block-granularity policies. The equivalent
-// full-scan survives as the linear reference mode (LinearScanSelector)
-// for differential validation and the capacity benchmarks.
+// indexed core with the block-granularity policies. The full scan is the
+// reference model oracle.LFU, which ssdcheck diffs this policy against.
 type LFU struct {
 	capacity int
 	pages    PageIndex[lfuEntry]
@@ -34,7 +33,6 @@ type LFU struct {
 	seq      uint64
 	free     *lfuEntry
 	buf      ResultBuffers
-	linear   bool
 	scanCost int64
 }
 
@@ -47,7 +45,6 @@ func NewLFU(capacityPages int) *LFU {
 var (
 	_ Policy             = (*LFU)(nil)
 	_ VictimScanReporter = (*LFU)(nil)
-	_ LinearScanSelector = (*LFU)(nil)
 )
 
 // Name implements Policy.
@@ -68,14 +65,6 @@ func (c *LFU) NodeCount() int { return c.pages.Len() }
 
 // VictimScanCost implements VictimScanReporter.
 func (c *LFU) VictimScanCost() int64 { return c.scanCost }
-
-// SetLinearVictimScan implements LinearScanSelector.
-func (c *LFU) SetLinearVictimScan(enable bool) {
-	if c.pages.Len() > 0 {
-		panic("cache: LFU victim-scan mode must be set before use")
-	}
-	c.linear = enable
-}
 
 // Access implements Policy.
 func (c *LFU) Access(req Request) Result {
@@ -118,10 +107,7 @@ func (c *LFU) insert(lpn int64) {
 	e.lpn = lpn
 	e.freq = 1
 	e.seq = c.seq
-	e.hd = vindex.Handle[*lfuEntry]{}
-	if !c.linear {
-		e.hd = c.heap.Push(e.freq, e.seq, e)
-	}
+	e.hd = c.heap.Push(e.freq, e.seq, e)
 	c.pages.Put(lpn, e)
 }
 
@@ -131,34 +117,16 @@ func (c *LFU) promote(e *lfuEntry) {
 	c.seq++
 	e.freq++
 	e.seq = c.seq
-	if !c.linear {
-		e.hd = c.heap.Update(e.hd, e.freq, e.seq, e)
-	}
+	e.hd = c.heap.Update(e.hd, e.freq, e.seq, e)
 }
 
 // evictOne flushes the least frequently used page, breaking frequency
 // ties toward the page least recently admitted into that frequency class.
 func (c *LFU) evictOne() Eviction {
-	var victim *lfuEntry
-	if c.linear {
-		// (freq, seq) is a strict total order, so the argmin does not
-		// depend on Range's visiting order.
-		c.pages.Range(func(_ int64, e *lfuEntry) bool {
-			c.scanCost++
-			if victim == nil || e.freq < victim.freq || (e.freq == victim.freq && e.seq < victim.seq) {
-				victim = e
-			}
-			return true
-		})
-	} else {
-		before := c.heap.Cost()
-		v, ok := c.heap.PopMin()
-		c.scanCost += c.heap.Cost() - before
-		if ok {
-			victim = v
-		}
-	}
-	if victim == nil {
+	before := c.heap.Cost()
+	victim, ok := c.heap.PopMin()
+	c.scanCost += c.heap.Cost() - before
+	if !ok {
 		panic("cache: LFU evict on empty cache")
 	}
 	mark := c.buf.Mark()

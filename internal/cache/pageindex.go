@@ -106,15 +106,3 @@ func (x *PageIndex[T]) Delete(key int64) {
 		l.next, x.pool = x.pool, l
 	}
 }
-
-// Range calls fn for every key and value until fn returns false. The
-// order is unspecified, so callers must not let a result depend on it.
-func (x *PageIndex[T]) Range(fn func(key int64, v *T) bool) {
-	for id, l := range x.dir {
-		for i, v := range l.slots {
-			if v != nil && !fn(id<<leafBits|int64(i), v) {
-				return
-			}
-		}
-	}
-}

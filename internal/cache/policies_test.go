@@ -124,7 +124,7 @@ func has(p Policy, lpn int64) bool {
 		return c.Contains(lpn)
 	case *FAB:
 		g := c.groups.Get(lpn / c.pagesPerBlock)
-		return g != nil && g.Value.pages.has(lpn)
+		return g != nil && g.pages.has(lpn)
 	default:
 		return false
 	}

@@ -1,15 +1,11 @@
 package cache
 
-import (
-	"repro/internal/list"
-	"repro/internal/vindex"
-)
+import "repro/internal/vindex"
 
 // pudBlock is one logical-block node of PUD-LRU with its update history.
 // updateSeq is the global sequence number of the block's most recent
 // update: the victim rule breaks PUD ties toward the least recently
-// updated block (the recency-list tail side), which is exactly the
-// minimum updateSeq.
+// updated block, which is exactly the minimum updateSeq.
 type pudBlock struct {
 	blockID    int64
 	pages      pageSet
@@ -17,8 +13,8 @@ type pudBlock struct {
 	insertTime int64
 	lastUpdate int64
 	updateSeq  uint64
-	hdSum      vindex.Handle[*list.Node[*pudBlock]]
-	hdSeq      vindex.Handle[*list.Node[*pudBlock]]
+	hdSum      vindex.Handle[*pudBlock]
+	hdSeq      vindex.Handle[*pudBlock]
 }
 
 // pudBucket indexes the blocks sharing one update count u. PUD at time
@@ -36,8 +32,8 @@ type pudBlock struct {
 // updateSeq — a different block in general than the minimum-sum one. The
 // second heap, keyed by updateSeq alone, answers that case.
 type pudBucket struct {
-	bySum vindex.Heap[*list.Node[*pudBlock]]
-	bySeq vindex.Heap[*list.Node[*pudBlock]]
+	bySum vindex.Heap[*pudBlock]
+	bySeq vindex.Heap[*pudBlock]
 	live  int
 	next  *pudBucket // pool link
 }
@@ -59,21 +55,19 @@ type pudBucket struct {
 //
 // Victim selection is indexed per update count (see pudBucket): eviction
 // compares one representative per populated bucket, O(buckets + log n),
-// instead of walking every block. The full recency-order walk survives as
-// the linear reference mode (LinearScanSelector).
+// instead of walking every block. The walk in recency order is the
+// reference model oracle.PUDLRU, which ssdcheck diffs this policy against.
 type PUDLRU struct {
 	capacity      int
 	pagesPerBlock int64
 	pageCount     int
-	blocks        PageIndex[list.Node[*pudBlock]] // by block number
-	order         list.List[*pudBlock]            // recency order for tie-breaking
+	blocks        PageIndex[pudBlock] // by block number
 	buf           ResultBuffers
-	free          []*list.Node[*pudBlock] // recycled block nodes
+	free          []*pudBlock // recycled blocks
 
 	buckets    map[int64]*pudBucket // update count -> bucket index
 	freeBucket *pudBucket
 	seq        uint64
-	linear     bool
 	scanCost   int64
 }
 
@@ -94,7 +88,6 @@ func NewPUDLRU(capacityPages, pagesPerBlock int) *PUDLRU {
 var (
 	_ Policy             = (*PUDLRU)(nil)
 	_ VictimScanReporter = (*PUDLRU)(nil)
-	_ LinearScanSelector = (*PUDLRU)(nil)
 )
 
 // Name implements Policy.
@@ -110,19 +103,11 @@ func (c *PUDLRU) CapacityPages() int { return c.capacity }
 // counter.
 func (c *PUDLRU) NodeBytes() int { return 32 }
 
-// NodeCount implements Policy.
-func (c *PUDLRU) NodeCount() int { return c.order.Len() }
+// NodeCount implements Policy: one node per block.
+func (c *PUDLRU) NodeCount() int { return c.blocks.Len() }
 
 // VictimScanCost implements VictimScanReporter.
 func (c *PUDLRU) VictimScanCost() int64 { return c.scanCost }
-
-// SetLinearVictimScan implements LinearScanSelector.
-func (c *PUDLRU) SetLinearVictimScan(enable bool) {
-	if c.pageCount > 0 {
-		panic("cache: PUD-LRU victim-scan mode must be set before use")
-	}
-	c.linear = enable
-}
 
 // Access implements Policy.
 func (c *PUDLRU) Access(req Request) Result {
@@ -132,11 +117,11 @@ func (c *PUDLRU) Access(req Request) Result {
 	lpn := req.LPN
 	for i := 0; i < req.Pages; i++ {
 		blockID := lpn / c.pagesPerBlock
-		n := c.blocks.Get(blockID)
-		if n != nil && n.Value.pages.has(lpn) {
+		b := c.blocks.Get(blockID)
+		if b != nil && b.pages.has(lpn) {
 			res.Hits++
 			if req.Write {
-				c.noteUpdate(n, req.Time)
+				c.noteUpdate(b, req.Time)
 			}
 		} else {
 			res.Misses++
@@ -144,15 +129,14 @@ func (c *PUDLRU) Access(req Request) Result {
 				for c.pageCount >= c.capacity {
 					c.buf.Evictions = append(c.buf.Evictions, c.evict(req.Time))
 				}
-				if n = c.blocks.Get(blockID); n == nil {
-					n = c.newBlock(blockID, req.Time)
-					c.order.PushHead(n)
-					c.blocks.Put(blockID, n)
+				if b = c.blocks.Get(blockID); b == nil {
+					b = c.newBlock(blockID, req.Time)
+					c.blocks.Put(blockID, b)
 				}
-				n.Value.pages.add(lpn)
+				b.pages.add(lpn)
 				c.pageCount++
 				res.Inserted++
-				c.noteUpdate(n, req.Time)
+				c.noteUpdate(b, req.Time)
 			} else {
 				c.buf.Reads = append(c.buf.Reads, lpn)
 			}
@@ -163,46 +147,40 @@ func (c *PUDLRU) Access(req Request) Result {
 	return res
 }
 
-// newBlock takes a block node from the free stack, or allocates one.
-func (c *PUDLRU) newBlock(blockID, now int64) *list.Node[*pudBlock] {
-	var n *list.Node[*pudBlock]
+// newBlock takes a block from the free stack, or allocates one.
+func (c *PUDLRU) newBlock(blockID, now int64) *pudBlock {
+	var b *pudBlock
 	if len(c.free) > 0 {
-		n = c.free[len(c.free)-1]
+		b = c.free[len(c.free)-1]
 		c.free = c.free[:len(c.free)-1]
 	} else {
-		n = &list.Node[*pudBlock]{Value: &pudBlock{}}
+		b = &pudBlock{}
 	}
-	b := n.Value
 	b.blockID = blockID
 	b.pages.reset(blockID*c.pagesPerBlock, c.pagesPerBlock)
 	b.updates = 0
 	b.insertTime = now
 	b.lastUpdate = now
-	b.hdSum = vindex.Handle[*list.Node[*pudBlock]]{}
-	b.hdSeq = vindex.Handle[*list.Node[*pudBlock]]{}
-	return n
+	b.hdSum = vindex.Handle[*pudBlock]{}
+	b.hdSeq = vindex.Handle[*pudBlock]{}
+	return b
 }
 
-func (c *PUDLRU) noteUpdate(n *list.Node[*pudBlock], now int64) {
-	b := n.Value
+// noteUpdate records one write absorbed by the block and re-indexes it.
+func (c *PUDLRU) noteUpdate(b *pudBlock, now int64) {
 	oldUpdates := b.updates
 	b.updates++
 	b.lastUpdate = now
-	c.order.MoveToHead(n)
-	if c.linear {
-		return
-	}
 	c.seq++
 	b.updateSeq = c.seq
 	if oldUpdates > 0 {
 		c.unindexBlock(b, oldUpdates)
 	}
-	c.indexBlock(n)
+	c.indexBlock(b)
 }
 
 // indexBlock enters a block into the bucket for its current update count.
-func (c *PUDLRU) indexBlock(n *list.Node[*pudBlock]) {
-	b := n.Value
+func (c *PUDLRU) indexBlock(b *pudBlock) {
 	bk, ok := c.buckets[b.updates]
 	if !ok {
 		bk = c.freeBucket
@@ -214,8 +192,8 @@ func (c *PUDLRU) indexBlock(n *list.Node[*pudBlock]) {
 		}
 		c.buckets[b.updates] = bk
 	}
-	b.hdSum = bk.bySum.Push(b.insertTime+b.lastUpdate, b.updateSeq, n)
-	b.hdSeq = bk.bySeq.Push(int64(b.updateSeq), 0, n)
+	b.hdSum = bk.bySum.Push(b.insertTime+b.lastUpdate, b.updateSeq, b)
+	b.hdSeq = bk.bySeq.Push(int64(b.updateSeq), 0, b)
 	bk.live++
 }
 
@@ -247,47 +225,32 @@ func (b *pudBlock) pud(now int64) float64 {
 }
 
 // evict flushes the block with the largest PUD (the least frequently
-// updated per unit time); ties go to the LRU tail side.
+// updated per unit time); ties go to the least recently updated block.
 func (c *PUDLRU) evict(now int64) Eviction {
-	var victim *list.Node[*pudBlock]
-	if c.linear {
-		var victimPUD float64
-		for n := c.order.Tail(); n != nil; n = n.Prev() {
-			c.scanCost++
-			if p := n.Value.pud(now); victim == nil || p > victimPUD {
-				victim, victimPUD = n, p
-			}
-		}
-	} else {
-		victim = c.pickIndexed(now)
-	}
-	if victim == nil {
+	b := c.pickIndexed(now)
+	if b == nil {
 		panic("cache: PUD-LRU evict on empty buffer")
 	}
-	b := victim.Value
-	if !c.linear {
-		c.unindexBlock(b, b.updates)
-	}
-	c.order.Remove(victim)
+	c.unindexBlock(b, b.updates)
 	c.blocks.Delete(b.blockID)
 	mark := c.buf.Mark()
 	c.buf.LPNs = b.pages.appendLPNs(c.buf.LPNs)
 	lpns := c.buf.Carve(mark)
 	c.pageCount -= len(lpns)
-	c.free = append(c.free, victim)
+	c.free = append(c.free, b)
 	return Eviction{LPNs: lpns, BlockBound: true}
 }
 
 // pickIndexed selects the max-PUD block by comparing one representative
 // per populated bucket. Within a bucket the representative is the
-// minimum-(sum, updateSeq) block — the PUD maximum with the tail-most
-// tie-break — unless even that block's span clamps to 1, in which case
+// minimum-(sum, updateSeq) block — the PUD maximum with the least
+// recently updated tie-break — unless even that block's span clamps to 1, in which case
 // every block in the bucket ties at PUD 1/u and the bucket-wide minimum
 // updateSeq takes over. Bucket iteration order is irrelevant: (PUD,
 // updateSeq) is a strict total order because update sequence numbers are
 // unique.
-func (c *PUDLRU) pickIndexed(now int64) *list.Node[*pudBlock] {
-	var victim *list.Node[*pudBlock]
+func (c *PUDLRU) pickIndexed(now int64) *pudBlock {
+	var victim *pudBlock
 	var victimPUD float64
 	var victimSeq uint64
 	for _, bk := range c.buckets {
@@ -298,16 +261,16 @@ func (c *PUDLRU) pickIndexed(now int64) *list.Node[*pudBlock] {
 		if !ok {
 			continue
 		}
-		if rep.Value.insertTime+rep.Value.lastUpdate >= 2*now-1 {
+		if rep.insertTime+rep.lastUpdate >= 2*now-1 {
 			before = bk.bySeq.Cost()
 			if m, ok2 := bk.bySeq.PeekMin(); ok2 {
 				rep = m
 			}
 			c.scanCost += bk.bySeq.Cost() - before
 		}
-		p := rep.Value.pud(now)
-		if victim == nil || p > victimPUD || (p == victimPUD && rep.Value.updateSeq < victimSeq) {
-			victim, victimPUD, victimSeq = rep, p, rep.Value.updateSeq
+		p := rep.pud(now)
+		if victim == nil || p > victimPUD || (p == victimPUD && rep.updateSeq < victimSeq) {
+			victim, victimPUD, victimSeq = rep, p, rep.updateSeq
 		}
 	}
 	return victim
@@ -315,6 +278,6 @@ func (c *PUDLRU) pickIndexed(now int64) *list.Node[*pudBlock] {
 
 // Contains reports whether a page is buffered (tests).
 func (c *PUDLRU) Contains(lpn int64) bool {
-	n := c.blocks.Get(lpn / c.pagesPerBlock)
-	return n != nil && n.Value.pages.has(lpn)
+	b := c.blocks.Get(lpn / c.pagesPerBlock)
+	return b != nil && b.pages.has(lpn)
 }

@@ -79,13 +79,13 @@ func TestPUDLRUReadPath(t *testing.T) {
 func TestPUDLRUUpdateCountsPerBlock(t *testing.T) {
 	c := NewPUDLRU(8, 4)
 	c.Access(w(0, 0, 2)) // block 0: 2 update events... one per page
-	n := c.blocks.Get(0)
-	if n.Value.updates != 2 {
-		t.Fatalf("updates = %d, want 2 (one per written page)", n.Value.updates)
+	b := c.blocks.Get(0)
+	if b.updates != 2 {
+		t.Fatalf("updates = %d, want 2 (one per written page)", b.updates)
 	}
 	c.Access(w(1, 1, 1)) // hit page 1
-	if n.Value.updates != 3 {
-		t.Fatalf("updates = %d after hit, want 3", n.Value.updates)
+	if b.updates != 3 {
+		t.Fatalf("updates = %d after hit, want 3", b.updates)
 	}
 }
 

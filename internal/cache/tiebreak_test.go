@@ -2,14 +2,15 @@ package cache
 
 import "testing"
 
-// The FAB and LFU tie-break rules are paper-visible contracts, not
-// implementation accidents: FAB breaks equal-size ties toward the oldest
-// group (the tail-ward strict-> scan of the paper's linear walk), LFU
-// breaks equal-frequency ties toward the entry least recently inserted
-// OR promoted (the frequency-bucket tail). The tables below construct
-// deliberate ties and pin the winner in BOTH selection modes — the
-// indexed heap and the linear reference scan — so the vindex refactor
-// can never drift the contract in either.
+// The FAB, LFU and PUD-LRU tie-break rules are paper-visible contracts,
+// not implementation accidents: FAB breaks equal-size ties toward the
+// oldest group (the tail-ward strict-> scan of the paper's linear walk),
+// LFU breaks equal-frequency ties toward the entry least recently
+// inserted OR promoted (the frequency-bucket tail), and PUD-LRU breaks
+// equal-PUD ties toward the block least recently updated. The tables
+// below construct deliberate ties and pin the winner of the indexed
+// victim heap, the policies' only victim path; the oracle package's
+// full-scan models are held to the same rules by ssdcheck.
 
 type tieCase struct {
 	name string
@@ -24,28 +25,27 @@ type tieCase struct {
 func runTieCases(t *testing.T, cases []tieCase) {
 	t.Helper()
 	for _, tc := range cases {
-		for _, mode := range []string{"indexed", "linear"} {
-			t.Run(tc.name+"/"+mode, func(t *testing.T) {
-				p := tc.mk()
-				p.(LinearScanSelector).SetLinearVictimScan(mode == "linear")
-				for _, req := range tc.script {
-					p.Access(req)
-				}
-				res := p.Access(tc.final)
-				if len(res.Evictions) != 1 {
-					t.Fatalf("eviction batches: %+v, want exactly 1", res.Evictions)
-				}
-				got := res.Evictions[0].LPNs
-				if len(got) != len(tc.want) {
+		// The "indexed" leaf names the heap path and keeps the subtest
+		// names of earlier commits, so runs compare across them.
+		t.Run(tc.name+"/indexed", func(t *testing.T) {
+			p := tc.mk()
+			for _, req := range tc.script {
+				p.Access(req)
+			}
+			res := p.Access(tc.final)
+			if len(res.Evictions) != 1 {
+				t.Fatalf("eviction batches: %+v, want exactly 1", res.Evictions)
+			}
+			got := res.Evictions[0].LPNs
+			if len(got) != len(tc.want) {
+				t.Fatalf("evicted %v, want %v", got, tc.want)
+			}
+			for i := range tc.want {
+				if got[i] != tc.want[i] {
 					t.Fatalf("evicted %v, want %v", got, tc.want)
 				}
-				for i := range tc.want {
-					if got[i] != tc.want[i] {
-						t.Fatalf("evicted %v, want %v", got, tc.want)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -113,6 +113,24 @@ func TestLFUTieBreakContract(t *testing.T) {
 			script: []Request{w(0, 1, 1), w(1, 2, 1), w(2, 2, 1), w(3, 2, 1), w(4, 3, 1)},
 			final:  w(5, 4, 1),
 			want:   []int64{1},
+		},
+	})
+}
+
+func TestPUDLRUTieBreakContract(t *testing.T) {
+	runTieCases(t, []tieCase{
+		{
+			// At t=10 block 0 (inserted at 9, last updated at 10) has span
+			// 1 and block 1 (inserted and updated at 10) has span 0,
+			// clamped to 1: both sit in update-count bucket 2 at PUD 1/2.
+			// Block 1 was updated first, so it goes — although block 0
+			// has the smaller insertTime+lastUpdate sum, which orders the
+			// bucket's heap everywhere above the clamp.
+			name:   "clamped span tie, least recently updated wins",
+			mk:     func() Policy { return NewPUDLRU(4, 4) },
+			script: []Request{w(9, 0, 1), w(10, 4, 2), w(10, 1, 1)},
+			final:  w(10, 8, 1),
+			want:   []int64{4, 5},
 		},
 	})
 }

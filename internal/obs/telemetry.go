@@ -134,7 +134,7 @@ func New() *Telemetry {
 	t.IdleFlushed = r.Counter("ssdsim_idle_flushed_pages_total", "Pages flushed by the idle-window flusher.")
 	t.Destaged = r.Counter("ssdsim_destaged_pages_total", "Pages drained by the periodic destager.")
 	t.DestageNs = r.Hist("ssdsim_destage_ns", "Idle-flush and destage drain latency, hand-off to durable, simulated ns.")
-	t.VictimScan = r.Hist("ssdsim_victim_scan_cost", "Victim-selection work per eviction batch: heap entries sifted/skipped (indexed) or nodes walked (linear scan).")
+	t.VictimScan = r.Hist("ssdsim_victim_scan_cost", "Victim-selection work per eviction batch: victim-heap pops, peeks and levels sifted.")
 
 	t.ProgramNs = r.Hist("ssdsim_flash_program_ns", "Flash page program latency, issue to die-free, simulated ns.")
 	t.ReadNs = r.Hist("ssdsim_flash_read_ns", "Flash page read latency, issue to data transferred, simulated ns.")

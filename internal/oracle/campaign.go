@@ -9,10 +9,12 @@ type CampaignConfig struct {
 	SeedStart int64
 	Seeds     int
 	// Mode selects the differential per run: empty for fast-vs-oracle,
-	// ModeVindex for indexed-vs-linear victim selection.
+	// ModeVindex for the heap-indexed policies without the FTL pair,
+	// ModeGCSched for scheduled-vs-greedy GC.
 	Mode string
-	// Policies defaults to all four paper policies (classic mode) or every
-	// VictimPolicies entry (ModeVindex).
+	// Policies defaults to every Policies entry (classic mode), every
+	// VictimPolicies entry (ModeVindex) or every GCSchedFlavors entry
+	// (ModeGCSched).
 	Policies []string
 	// Requests is the workload length per run (default 192).
 	Requests int

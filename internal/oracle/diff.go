@@ -70,6 +70,10 @@ func buildPair(s *Spec) pair {
 		return pair{fast: f, ora: NewBPLRU(s.CapacityPages, s.PagesPerBlock, s.Padding)}
 	case "fab":
 		return pair{fast: cache.NewFAB(s.CapacityPages, s.PagesPerBlock), ora: NewFAB(s.CapacityPages, s.PagesPerBlock)}
+	case "lfu":
+		return pair{fast: cache.NewLFU(s.CapacityPages), ora: NewLFU(s.CapacityPages)}
+	case "pud-lru":
+		return pair{fast: cache.NewPUDLRU(s.CapacityPages, s.PagesPerBlock), ora: NewPUDLRU(s.CapacityPages, s.PagesPerBlock)}
 	}
 	panic("oracle: buildPair on unvalidated spec")
 }
@@ -111,9 +115,10 @@ func newFTLPair() (*ftlPair, error) {
 	}, nil
 }
 
-// flush feeds one eviction batch to both FTLs, stamping every page.
+// flush feeds one eviction batch to both FTLs, stamping every page. A nil
+// pair (ModeVindex runs without FTLs) takes nothing.
 func (fp *ftlPair) flush(now int64, ev Eviction) error {
-	if len(ev.LPNs) == 0 {
+	if fp == nil || len(ev.LPNs) == 0 {
 		return nil
 	}
 	stamps := make([]uint64, len(ev.LPNs))
@@ -141,6 +146,9 @@ func (fp *ftlPair) flush(now int64, ev Eviction) error {
 
 // mappedDiff compares the live logical sets of both FTLs.
 func (fp *ftlPair) mappedDiff() string {
+	if fp == nil {
+		return ""
+	}
 	for lpn := int64(0); lpn < fp.ora.LogicalPages(); lpn++ {
 		if f, o := fp.fast.Mapped(lpn), fp.ora.Mapped(lpn); f != o {
 			return fmt.Sprintf("lpn %d: fast mapped=%v, oracle mapped=%v", lpn, f, o)
@@ -161,25 +169,25 @@ const membershipEvery = 16
 // read-miss pages, eviction batches (victim sets, ordering, block
 // binding, padding reads), idle-destage decisions, list-transition
 // annotations, per-list membership, cache occupancy conservation, FTL
-// mapped sets, and both sides' invariant suites.
+// mapped sets, and both sides' invariant suites. ModeVindex specs run the
+// same loop without the FTL pair: their address ranges outgrow its 96
+// logical pages.
 func Run(spec Spec) *Divergence {
 	if err := spec.Validate(); err != nil {
 		return &Divergence{Spec: spec, Step: -1, Kind: "spec", Detail: err.Error()}
 	}
-	if spec.Mode == ModeVindex {
-		// Indexed-vs-linear victim selection; Shrink, SaveRepro and the
-		// repro corpus reuse this dispatch untouched.
-		return runVindex(spec)
-	}
 	if spec.Mode == ModeGCSched {
-		// Scheduled-vs-greedy GC over the lockstep FTL triple; same
-		// mode-agnostic dispatch for Shrink and the repro corpus.
+		// Scheduled-vs-greedy GC over the lockstep FTL triple; Shrink,
+		// SaveRepro and the repro corpus reuse this dispatch untouched.
 		return runGCSched(spec)
 	}
 	p := buildPair(&spec)
-	fp, err := newFTLPair()
-	if err != nil {
-		return &Divergence{Spec: spec, Step: -1, Kind: "ftl", Detail: err.Error()}
+	var fp *ftlPair
+	if spec.Mode != ModeVindex {
+		var err error
+		if fp, err = newFTLPair(); err != nil {
+			return &Divergence{Spec: spec, Step: -1, Kind: "ftl", Detail: err.Error()}
+		}
 	}
 	maxLPN := spec.MaxLPN()
 	diverge := func(step int, kind, detail string) *Divergence {
@@ -221,7 +229,11 @@ func Run(spec Spec) *Divergence {
 
 		if spec.IdleEvery > 0 && (i+1)%spec.IdleEvery == 0 {
 			now := req.Time + 1
-			fastEv, fastOK := p.fast.(cache.IdleEvictor).EvictIdle(now)
+			var fastEv cache.Eviction
+			fastOK := false
+			if ie, ok := p.fast.(cache.IdleEvictor); ok {
+				fastEv, fastOK = ie.EvictIdle(now)
+			}
 			oraEv, oraOK := p.ora.EvictIdle(now)
 			if fastOK != oraOK {
 				return diverge(i, "idle", fmt.Sprintf("EvictIdle fired: fast %v, oracle %v", fastOK, oraOK))
@@ -254,11 +266,13 @@ func Run(spec Spec) *Divergence {
 	if d := deepDiff(p, fp, maxLPN); d != "" {
 		return diverge(-1, "membership", d)
 	}
-	if err := fp.fast.CheckInvariants(); err != nil {
-		return diverge(-1, "invariant", "fast ftl: "+err.Error())
-	}
-	if err := fp.ora.CheckInvariants(); err != nil {
-		return diverge(-1, "invariant", "oracle ftl: "+err.Error())
+	if fp != nil {
+		if err := fp.fast.CheckInvariants(); err != nil {
+			return diverge(-1, "invariant", "fast ftl: "+err.Error())
+		}
+		if err := fp.ora.CheckInvariants(); err != nil {
+			return diverge(-1, "invariant", "oracle ftl: "+err.Error())
+		}
 	}
 	return nil
 }

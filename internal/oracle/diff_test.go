@@ -6,10 +6,10 @@ import (
 	"repro/internal/cache"
 )
 
-// TestDifferentialCampaign is the headline check: 64 seeds × 4 policies
-// of generated workloads through the fast implementations and the
-// oracles in lockstep, zero divergences allowed. This is the same grid
-// `ssdcheck -quick` runs from make check.
+// TestDifferentialCampaign is the headline check: 64 seeds × every
+// Policies entry of generated workloads through the fast implementations
+// and the oracles in lockstep, zero divergences allowed. This is the same
+// grid `ssdcheck -quick` runs from make check.
 func TestDifferentialCampaign(t *testing.T) {
 	seeds := 64
 	if testing.Short() {
@@ -47,6 +47,8 @@ func TestRunSingleSpecs(t *testing.T) {
 		{Policy: "bplru", CapacityPages: 12, PagesPerBlock: 4, Requests: reqs},
 		{Policy: "bplru", CapacityPages: 12, PagesPerBlock: 4, Padding: true, Requests: reqs},
 		{Policy: "fab", CapacityPages: 12, PagesPerBlock: 4, Requests: reqs},
+		{Policy: "lfu", CapacityPages: 12, Requests: reqs},
+		{Policy: "pud-lru", CapacityPages: 12, PagesPerBlock: 4, Requests: reqs},
 	} {
 		if d := Run(spec); d != nil {
 			t.Errorf("policy %s (padding=%v merge=%v): %v", spec.Policy, spec.Padding, spec.Merge, d)

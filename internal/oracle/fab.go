@@ -26,8 +26,7 @@ func (g *ofGroup) has(lpn int64) bool {
 // pages grouped by logical block, whole-group eviction of the group
 // holding the most pages, recency ignored. Groups sit in insertion order
 // with the newest at index 0; ties between equally full groups go to the
-// oldest (largest index), matching the fast implementation's
-// tail-to-head strictly-greater scan.
+// oldest (largest index).
 type FAB struct {
 	capacity      int
 	pagesPerBlock int64
@@ -109,8 +108,7 @@ func (c *FAB) evictLargest() Eviction {
 	victim := -1
 	best := 0
 	// Scan oldest to newest with strictly-greater, so the oldest of the
-	// fullest groups wins — the same choice the fast FAB makes scanning
-	// its list from the tail.
+	// fullest groups wins.
 	for i := len(c.order) - 1; i >= 0; i-- {
 		if l := len(c.order[i].pages); l > best {
 			best, victim = l, i

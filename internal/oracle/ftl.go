@@ -225,14 +225,17 @@ func (f *FTL) maybeGC(plane int) {
 	}
 }
 
-// gcOnce picks the full, non-active block with the fewest valid pages on
-// the plane (lowest block number on ties), migrates its valid pages —
-// stamps included — and erases it.
+// gcOnce picks the full block with the fewest valid pages on the plane
+// (lowest block number on ties), migrates its valid pages — stamps
+// included — and erases it. A full active block is a candidate like any
+// other full block: a plane whose free blocks are gone may have nothing
+// else to reclaim. Survivors go to the plane's active block, or to the
+// richest plane when this one has no room left.
 func (f *FTL) gcOnce(plane int) bool {
 	first := plane * f.blocksPerPlane
 	victim, best := -1, f.pagesPerBlock+1
 	for b := first; b < first+f.blocksPerPlane; b++ {
-		if b == f.active[plane] || !f.blockFull(b) {
+		if !f.blockFull(b) {
 			continue
 		}
 		if v := f.validCount(b); v < best {
@@ -252,8 +255,12 @@ func (f *FTL) gcOnce(plane int) bool {
 		stamp := f.stored[ppn]
 		newPPN, ok := f.alloc(plane)
 		if !ok {
-			// The plane has no room for survivors; undo nothing — the
-			// victim stays intact and the caller's loop stops.
+			newPPN, ok = f.alloc(f.richestPlane())
+		}
+		if !ok {
+			// No plane has room for survivors; the pages moved so far
+			// stay moved, the rest stay in the victim, and the caller's
+			// loop stops.
 			return false
 		}
 		f.state[ppn] = pageInvalid
@@ -262,6 +269,10 @@ func (f *FTL) gcOnce(plane int) bool {
 		f.mapping[lpn] = newPPN
 		f.owner[newPPN] = lpn
 		f.stored[newPPN] = stamp
+	}
+	// An active victim stops accepting programs before its erase.
+	if f.active[plane] == victim {
+		f.active[plane] = -1
 	}
 	// Erase: every page back to free.
 	for i := 0; i < f.pagesPerBlock; i++ {

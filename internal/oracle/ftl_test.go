@@ -76,3 +76,29 @@ func TestOracleFTLRejectsOutOfRange(t *testing.T) {
 		t.Fatal("negative lpn write succeeded")
 	}
 }
+
+// TestOracleFTLCollectsFullActiveBlock pins the fast FTL's frontier rule
+// in the oracle: a full active block is a GC victim like any other full
+// block, and collecting it clears the active slot before the erase, so
+// the erased block is opened again only from the free list.
+func TestOracleFTLCollectsFullActiveBlock(t *testing.T) {
+	f := NewFTL(1, 3, 2, 4, 2)
+	if err := f.WriteStriped([]int64{0, 1}, []uint64{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	f.Trim([]int64{0, 1}) // block 0: the full active block, nothing valid
+	if !f.gcOnce(0) {
+		t.Fatal("GC skipped the full active block")
+	}
+	if f.active[0] == 0 {
+		t.Fatal("collected block 0 is still the active block")
+	}
+	for i, lpn := range []int64{2, 3, 2, 3, 0} {
+		if err := f.WriteStriped([]int64{lpn}, []uint64{uint64(10 + i)}); err != nil {
+			t.Fatalf("write %d: %v", lpn, err)
+		}
+		if err := f.CheckInvariants(); err != nil {
+			t.Fatalf("after write %d: %v", lpn, err)
+		}
+	}
+}

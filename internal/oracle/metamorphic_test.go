@@ -55,15 +55,18 @@ func metamorphicSpecs(seed int64, n int) []Spec {
 		mk("bplru", false),
 		mk("bplru", true),
 		mk("fab", false),
+		mk("lfu", false),
+		mk("pud-lru", false),
 	}
 }
 
 // TestMetamorphicRelabeling: adding a constant block-aligned offset to
 // every LPN is a pure renaming — the hit/miss/insert stream must be
 // identical and every eviction batch must be the original batch shifted
-// by the same offset. Block alignment matters: BPLRU and FAB group by
-// lpn/PagesPerBlock and BPLRU's LRU compensation looks at lpn%PagesPerBlock,
-// both invariant only under multiples of the block size.
+// by the same offset. Block alignment matters: BPLRU, FAB and PUD-LRU
+// group by lpn/PagesPerBlock and BPLRU's LRU compensation looks at
+// lpn%PagesPerBlock, both invariant only under multiples of the block
+// size.
 func TestMetamorphicRelabeling(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		for _, spec := range metamorphicSpecs(seed, 120) {

@@ -46,15 +46,15 @@ type Result struct {
 }
 
 // Policy is the oracle-side policy contract: the same decision surface as
-// cache.Policy plus a self-check hook. All four paper policies implement
-// it.
+// cache.Policy plus a self-check hook. Every oracle policy implements it.
 type Policy interface {
 	// Name identifies the policy, matching the fast implementation.
 	Name() string
 	// Access processes one request and returns its effects.
 	Access(req cache.Request) Result
 	// EvictIdle nominates one idle/destage victim batch, with the same
-	// more-than-half-full gating as the fast implementations.
+	// more-than-half-full gating as the fast implementations; a policy
+	// whose fast side has no cache.IdleEvictor never nominates one.
 	EvictIdle(now int64) (Eviction, bool)
 	// Len returns the buffered page count.
 	Len() int

@@ -10,8 +10,8 @@ import (
 )
 
 // TestVindexCampaignClean is the in-tree slice of the CI gate: a seed
-// range crossed with every switchable-scan policy, indexed victim
-// selection versus the linear reference scan, zero divergences expected.
+// range crossed with every heap-indexed policy, each against its oracle
+// without the FTL pair, zero divergences expected.
 func TestVindexCampaignClean(t *testing.T) {
 	res := RunCampaign(CampaignConfig{
 		Seeds:    16,
@@ -94,36 +94,42 @@ func TestVindexReproRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDiffModeResults gives the vindex result comparator teeth: every
-// externally visible field difference must be reported, and equal results
-// must not be.
+// TestDiffModeResults gives the lockstep result comparator, which every
+// mode but ModeGCSched runs through, teeth: every externally visible
+// field difference must be reported, and equal results must not be.
 func TestDiffModeResults(t *testing.T) {
-	mk := func() cache.Result {
-		return cache.Result{
+	fast := cache.Result{
+		Hits: 2, Misses: 1, Inserted: 1,
+		ReadMisses: []int64{7},
+		Evictions:  []cache.Eviction{{LPNs: []int64{3, 4}, BlockBound: true, PaddingReads: []int64{4}}},
+	}
+	mk := func() Result {
+		return Result{
 			Hits: 2, Misses: 1, Inserted: 1,
 			ReadMisses: []int64{7},
-			Evictions:  []cache.Eviction{{LPNs: []int64{3, 4}, BlockBound: true}},
+			Evictions:  []Eviction{{LPNs: []int64{3, 4}, BlockBound: true, PaddingReads: []int64{4}}},
 		}
 	}
-	if d := diffModeResults(mk(), mk()); d != "" {
+	if d := diffResults(fast, mk()); d != "" {
 		t.Fatalf("equal results reported as diverged: %s", d)
 	}
 	cases := []struct {
 		name string
-		edit func(*cache.Result)
+		edit func(*Result)
 	}{
-		{"hits", func(r *cache.Result) { r.Hits++ }},
-		{"inserted", func(r *cache.Result) { r.Inserted-- }},
-		{"read misses", func(r *cache.Result) { r.ReadMisses = []int64{8} }},
-		{"batch count", func(r *cache.Result) { r.Evictions = r.Evictions[:0] }},
-		{"victim order", func(r *cache.Result) { r.Evictions[0].LPNs = []int64{4, 3} }},
-		{"block binding", func(r *cache.Result) { r.Evictions[0].BlockBound = false }},
+		{"hits", func(r *Result) { r.Hits++ }},
+		{"inserted", func(r *Result) { r.Inserted-- }},
+		{"read misses", func(r *Result) { r.ReadMisses = []int64{8} }},
+		{"batch count", func(r *Result) { r.Evictions = r.Evictions[:0] }},
+		{"victim order", func(r *Result) { r.Evictions[0].LPNs = []int64{4, 3} }},
+		{"block binding", func(r *Result) { r.Evictions[0].BlockBound = false }},
+		{"padding reads", func(r *Result) { r.Evictions[0].PaddingReads = nil }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			a, b := mk(), mk()
-			tc.edit(&b)
-			if diffModeResults(a, b) == "" {
+			o := mk()
+			tc.edit(&o)
+			if diffResults(fast, o) == "" {
 				t.Fatal("difference not detected")
 			}
 		})

@@ -3,24 +3,25 @@ package oracle
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/cache"
 )
 
-// Policies lists the four paper policies the differential runner covers.
-var Policies = []string{"req-block", "lru", "bplru", "fab"}
+// Policies lists the policies the differential runner covers: the four
+// paper policies and the two heap-indexed comparators.
+var Policies = []string{"req-block", "lru", "bplru", "fab", "lfu", "pud-lru"}
 
-// ModeVindex selects the vindex differential: the SAME fast policy built
-// twice, once with the indexed (heap-backed) victim selection and once
-// with the paper-literal linear reference scan, replayed in lockstep.
-// Any disagreement means the index broke victim-choice semantics.
+// ModeVindex selects the vindex differential: a heap-indexed fast policy
+// against its full-scan oracle, in the same lockstep loop as the classic
+// mode but without the FTL pair, so capacities and address ranges can
+// run larger (GenerateVindex).
 const ModeVindex = "vindex"
 
-// VictimPolicies lists the policies with a switchable linear victim scan
-// (cache.LinearScanSelector) — the ModeVindex policy set. ECR and
-// Req-block route through stateless vindex argmin selectors instead of a
-// heap, and VBBMS pops its region's list tail, so they have no second
-// implementation to diff against.
+// VictimPolicies lists the policies whose victims come from a vindex
+// heap — the ModeVindex policy set. ECR and Req-block route through
+// stateless vindex argmin selectors instead of a heap, and VBBMS pops its
+// region's list tail.
 var VictimPolicies = []string{"fab", "lfu", "pud-lru"}
 
 // Spec is one fully self-contained differential workload: policy,
@@ -32,7 +33,8 @@ type Spec struct {
 	// the requests are materialized).
 	Seed int64 `json:"seed"`
 	// Mode selects the differential: empty for the classic fast-vs-oracle
-	// run, ModeVindex for the indexed-vs-linear victim-selection run.
+	// run, ModeVindex for the same run without the FTL pair, ModeGCSched
+	// for the GC-scheduling run.
 	Mode string `json:"mode,omitempty"`
 	// Policy is one of Policies (classic mode) or VictimPolicies
 	// (ModeVindex).
@@ -43,7 +45,8 @@ type Spec struct {
 	Delta   int  `json:"delta,omitempty"`
 	Merge   bool `json:"merge,omitempty"`
 	Recency bool `json:"recency,omitempty"`
-	// PagesPerBlock configures BPLRU/FAB grouping (ignored by the others).
+	// PagesPerBlock configures BPLRU/FAB/PUD-LRU grouping (ignored by the
+	// others).
 	PagesPerBlock int `json:"pages_per_block,omitempty"`
 	// Padding selects the padded BPLRU variant.
 	Padding bool `json:"padding,omitempty"`
@@ -60,15 +63,11 @@ type Spec struct {
 func (s *Spec) Validate() error {
 	switch s.Mode {
 	case "":
-		switch s.Policy {
-		case "req-block", "lru", "bplru", "fab":
-		default:
+		if !slices.Contains(Policies, s.Policy) {
 			return fmt.Errorf("oracle: unknown policy %q", s.Policy)
 		}
 	case ModeVindex:
-		switch s.Policy {
-		case "fab", "lfu", "pud-lru":
-		default:
+		if !slices.Contains(VictimPolicies, s.Policy) {
 			return fmt.Errorf("oracle: unknown vindex policy %q", s.Policy)
 		}
 		if s.Mutation != MutNone {
@@ -182,6 +181,9 @@ func Generate(seed int64, policy string, n int) Spec {
 // larger than Generate's: enough churn that the heaps see thousands of
 // push/update/invalidate/pop cycles and pooled-node reuse, while
 // ties stay common (the address range is a small multiple of capacity).
+// The wider ranges matter: a PUD-LRU cross-bucket tie broken the wrong
+// way shows here at seed 6, while Generate, bound to the FTL's logical
+// pages, first shows it at seed 199.
 func GenerateVindex(seed int64, policy string, n int) Spec {
 	rng := rand.New(rand.NewSource(seed))
 	s := Spec{

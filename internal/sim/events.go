@@ -102,9 +102,8 @@ type EvictionEvent struct {
 	// order) and clean drops never touch flash — both leave these zero.
 	Transferred, Durable int64
 	// ScanCost is the victim-selection work the policy performed since the
-	// previous emitted batch (heap pops, peeks and levels sifted in the
-	// indexed mode, nodes walked in the linear reference mode), taken as the
-	// delta of the policy's cache.VictimScanReporter counter. When one
+	// previous emitted batch (victim-heap pops, peeks and levels sifted),
+	// taken as the delta of the policy's cache.VictimScanReporter counter. When one
 	// Access triggers several batches the whole Access's selection work
 	// lands on the first; 0 for policies that do not report scan work.
 	ScanCost int64
