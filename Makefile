@@ -77,8 +77,10 @@ soak-gc:
 # obs-smoke exercises the tail-latency attribution plane end to end: a
 # small replay with the blame table, Perfetto export, and flight
 # recorder armed, then cmd/tracecheck validates the export against the
-# trace-event format and the run-end flight dump is required to exist.
-# Outputs land in obs-smoke/ (kept for artifact upload on CI).
+# trace-event format, the export must hold at least one list-transition
+# and one victim-batch instant (the policy's transition sink is wired),
+# and the run-end flight dump is required to exist. Outputs land in
+# obs-smoke/ (kept for artifact upload on CI).
 obs-smoke:
 	@rm -rf obs-smoke && mkdir -p obs-smoke
 	go run ./cmd/ssdreplay -workload src1_2 -scale 0.02 -policy reqblock \
@@ -86,6 +88,10 @@ obs-smoke:
 		-perfetto obs-smoke/trace.json -trace-sample 64 \
 		-flight-recorder obs-smoke > obs-smoke/report.txt
 	go run ./cmd/tracecheck obs-smoke/trace.json
+	@for cat in list evict; do \
+		grep -q '"cat":"'$$cat'","ph":"i"' obs-smoke/trace.json || \
+			{ echo "obs-smoke: no $$cat instant in the export"; exit 1; }; \
+	done
 	@ls obs-smoke/flightrec-*-run-end.ndjson > /dev/null || \
 		{ echo "obs-smoke: no run-end flight dump"; exit 1; }
 	@grep -q '^P99' obs-smoke/report.txt || \

@@ -151,7 +151,7 @@ func BenchmarkFigure8ResponseTime(b *testing.B) {
 
 // BenchmarkFigure8ResponseTimeTelemetry reruns the Fig. 8 grid with the
 // full telemetry plane attached — instrument observer, flash timing tap,
-// an actively sampling 1/1024 tracer and a progress reporter — so the
+// an actively sampling 1/1024 trace export and a progress reporter — so the
 // delta against BenchmarkFigure8ResponseTime is the telemetry cost on
 // the acceptance workload (the issue's bar: ≤ 5% with sampling on).
 func BenchmarkFigure8ResponseTimeTelemetry(b *testing.B) {
@@ -160,7 +160,7 @@ func BenchmarkFigure8ResponseTimeTelemetry(b *testing.B) {
 	cfg.Tap = tel
 	cfg.Observers = []sim.Observer{
 		tel.Observer(),
-		obs.NewTracer(io.Discard, 1024, 1),
+		obs.NewTraceExport(io.Discard, 1024, 1),
 		obs.NewProgress(io.Discard, 0),
 	}
 	for i := 0; i < b.N; i++ {
@@ -891,10 +891,11 @@ func BenchmarkShardedReplay(b *testing.B) {
 
 // BenchmarkStreamingReplayTelemetry is BenchmarkStreamingReplay with the
 // full telemetry plane attached — histogram/counter observer, flash
-// timing tap, an actively sampling tracer and a progress reporter — so the
-// delta between the two benches IS the telemetry overhead the issue asks
-// docs/PERFORMANCE.md to record. Allocations must stay at the baseline:
-// the instruments are atomics and the span writer is buffered.
+// timing tap, an actively sampling trace export (also the policy's
+// list-transition sink) and a progress reporter — so the delta between
+// the two benches is the telemetry overhead docs/PERFORMANCE.md records.
+// Allocations must stay at the baseline: the instruments are atomics and
+// the trace writer is buffered.
 func BenchmarkStreamingReplayTelemetry(b *testing.B) {
 	tr := workload.MustGenerate(workload.SRC12(), workload.Options{Scale: 0.05})
 	var buf bytes.Buffer
@@ -911,11 +912,11 @@ func BenchmarkStreamingReplayTelemetry(b *testing.B) {
 		}
 		tel := obs.New()
 		dev.SetTap(tel)
-		tracer := obs.NewTracer(io.Discard, 1024, 1)
+		exp := obs.NewTraceExport(io.Discard, 1024, 1)
 		progress := obs.NewProgress(io.Discard, 0)
 		pol := core.New(16 * 256)
-		pol.SetTransitionSink(tracer)
-		opts := replay.Options{Observers: []sim.Observer{tel.Observer(), tracer, progress}}
+		pol.SetTransitionSink(exp)
+		opts := replay.Options{Observers: []sim.Observer{tel.Observer(), exp, progress}}
 		m, err := replay.RunSource(trace.Scan(bytes.NewReader(text), "src1_2"), pol, dev, opts)
 		if err != nil {
 			b.Fatal(err)

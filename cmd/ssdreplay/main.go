@@ -14,9 +14,8 @@
 //
 //	-listen 127.0.0.1:9090      live /metrics, /healthz, /debug/pprof
 //	-progress 10000             NDJSON snapshot to stderr every N requests
-//	-trace-out spans.ndjson     sampled request spans (with -trace-sample)
 //	-blame                      per-cause latency attribution table
-//	-perfetto trace.json        Perfetto-loadable trace-event export
+//	-perfetto trace.json        sampled request trace events (with -trace-sample)
 //	-flight-recorder DIR        anomaly flight-recorder dumps into DIR
 package main
 
@@ -64,9 +63,8 @@ func main() {
 
 		listen      = flag.String("listen", "", "serve live /metrics, /healthz and /debug/pprof on this address (e.g. 127.0.0.1:9090; empty = off)")
 		progressN   = flag.Int("progress", 0, "emit an NDJSON progress snapshot to stderr every N processed requests (0 = off)")
-		traceOut    = flag.String("trace-out", "", "write sampled request spans (NDJSON) to this file (- = stdout)")
-		traceSample = flag.Int("trace-sample", 1024, "sample 1 in N requests for -trace-out and -perfetto")
-		traceSeed   = flag.Uint64("trace-seed", 1, "sampler seed for -trace-out and -perfetto (same seed + rate = same sample)")
+		traceSample = flag.Int("trace-sample", 1024, "sample 1 in N requests for -perfetto")
+		traceSeed   = flag.Uint64("trace-seed", 1, "sampler seed for -perfetto (same seed + rate = same sample)")
 		blame       = flag.Bool("blame", false, "print the per-cause tail-latency blame table after the run")
 		perfetto    = flag.String("perfetto", "", "write sampled requests as Chrome trace-event JSON (Perfetto-loadable) to this file")
 		flightDir   = flag.String("flight-recorder", "", "record recent events per shard and dump NDJSON rings into this directory on anomalies and at run end")
@@ -136,20 +134,6 @@ func main() {
 	if *progressN > 0 {
 		observers = append(observers, obs.NewProgress(os.Stderr, *progressN))
 	}
-	var tracer *obs.Tracer
-	if *traceOut != "" {
-		w := os.Stdout
-		if *traceOut != "-" {
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				fail(err)
-			}
-			defer f.Close()
-			w = f
-		}
-		tracer = obs.NewTracer(w, *traceSample, *traceSeed)
-		observers = append(observers, tracer)
-	}
 	var pexp *obs.TraceExport
 	if *perfetto != "" {
 		f, err := os.Create(*perfetto)
@@ -164,8 +148,8 @@ func main() {
 
 	// Each shard owns a policy slice and its own device; with more than one,
 	// events re-merge deterministically (docs/ARCHITECTURE.md). One shard is
-	// the bare engine: it also feeds policy list transitions to the span
-	// tracer and reports the device's fault op totals.
+	// the bare engine: it also feeds policy list transitions to the Perfetto
+	// export and reports the device's fault op totals.
 	var dev *ssd.Device
 	telHook := func(int, *sim.Engine) []sim.Observer { return nil }
 	if *shards > 1 {
@@ -183,8 +167,8 @@ func main() {
 			if *readahead > 0 {
 				p = cache.NewReadAhead(p, *readahead, 8)
 			}
-			if src, ok := p.(cache.TransitionSource); ok && tracer != nil && *shards == 1 {
-				src.SetTransitionSink(tracer)
+			if src, ok := p.(cache.TransitionSource); ok && pexp != nil && *shards == 1 {
+				src.SetTransitionSink(pexp)
 			}
 			return p
 		},
@@ -247,11 +231,6 @@ func main() {
 	if err := profiles.Stop(); err != nil {
 		fmt.Fprintln(os.Stderr, "ssdreplay:", err)
 		os.Exit(1)
-	}
-	if tracer != nil {
-		if err := tracer.Close(); err != nil {
-			fail(fmt.Errorf("trace-out: %w", err))
-		}
 	}
 	if pexp != nil {
 		if err := pexp.Close(); err != nil {

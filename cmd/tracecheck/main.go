@@ -4,10 +4,12 @@
 // without loading it into a UI:
 //
 //   - the file is one JSON object with a traceEvents array
-//   - every event has name, ph, and pid; ph is "X" (complete) or "M"
-//     (metadata)
-//   - "X" events carry non-negative ts and dur
-//   - every "blame" child slice lies within its parent request slice
+//   - every event has name, ph, and pid; ph is "X" (complete), "i"
+//     (instant) or "M" (metadata)
+//   - "X" events carry non-negative ts and dur, and a tid
+//   - "i" events carry ts and tid
+//   - every "blame" child slice, and every instant, lies within the latest
+//     request slice on its tid
 //
 // Exit status 0 and a one-line summary on success; 1 with a diagnostic
 // on the first violation.
@@ -62,12 +64,25 @@ func check(path string) error {
 	if tf.TraceEvents == nil {
 		return fmt.Errorf("%s: no traceEvents array", path)
 	}
-	// The parent request slice each later blame slice must nest inside,
-	// keyed by thread (the exporter emits children right after their
-	// parent on the same tid).
+	// The parent request slice each later blame slice and instant must
+	// nest inside, keyed by thread (the exporter emits children right
+	// after their parent on the same tid). Allow half-a-microsecond slack
+	// for the fixed-point µs rendering of nanosecond times.
 	type span struct{ start, end float64 }
 	parents := map[int64]span{}
-	var slices, meta int
+	const eps = 0.0005
+	inParent := func(i int, ev traceEvent, kind string, start, end float64) error {
+		p, ok := parents[*ev.Tid]
+		if !ok {
+			return fmt.Errorf("%s: event %d (%s): %s before any request slice on tid %d", path, i, ev.Name, kind, *ev.Tid)
+		}
+		if start < p.start-eps || end > p.end+eps {
+			return fmt.Errorf("%s: event %d (%s): %s [%g,%g] outside parent [%g,%g]",
+				path, i, ev.Name, kind, start, end, p.start, p.end)
+		}
+		return nil
+	}
+	var slices, instants, meta int
 	for i, ev := range tf.TraceEvents {
 		if ev.Name == "" {
 			return fmt.Errorf("%s: event %d: missing name", path, i)
@@ -93,22 +108,22 @@ func check(path string) error {
 			case "request":
 				parents[*ev.Tid] = span{*ev.Ts, *ev.Ts + *ev.Dur}
 			case "blame":
-				p, ok := parents[*ev.Tid]
-				if !ok {
-					return fmt.Errorf("%s: event %d (%s): blame slice before any request slice on tid %d", path, i, ev.Name, *ev.Tid)
+				if err := inParent(i, ev, "blame slice", *ev.Ts, *ev.Ts+*ev.Dur); err != nil {
+					return err
 				}
-				// Allow half-a-microsecond slack for the fixed-point
-				// µs rendering of nanosecond spans.
-				const eps = 0.0005
-				if *ev.Ts < p.start-eps || *ev.Ts+*ev.Dur > p.end+eps {
-					return fmt.Errorf("%s: event %d (%s): blame slice [%g,%g] outside parent [%g,%g]",
-						path, i, ev.Name, *ev.Ts, *ev.Ts+*ev.Dur, p.start, p.end)
-				}
+			}
+		case "i":
+			instants++
+			if ev.Ts == nil || ev.Tid == nil {
+				return fmt.Errorf("%s: event %d (%s): i event missing ts or tid", path, i, ev.Name)
+			}
+			if err := inParent(i, ev, "instant", *ev.Ts, *ev.Ts); err != nil {
+				return err
 			}
 		default:
 			return fmt.Errorf("%s: event %d (%s): unexpected ph %q", path, i, ev.Name, ev.Ph)
 		}
 	}
-	fmt.Printf("tracecheck: %s ok — %d slices, %d metadata events\n", path, slices, meta)
+	fmt.Printf("tracecheck: %s ok — %d slices, %d instants, %d metadata events\n", path, slices, instants, meta)
 	return nil
 }

@@ -164,22 +164,12 @@ type VictimScanReporter interface {
 	VictimScanCost() int64
 }
 
-// OccupancyReporter is implemented by policies with multiple internal lists
+// OccupancySampler is implemented by policies with multiple internal lists
 // whose sizes are worth tracking over time (Req-block's IRL/SRL/DRL for the
-// paper's Fig. 13).
-type OccupancyReporter interface {
-	// ListPages returns the page count held by each named internal list.
-	ListPages() map[string]int
-}
-
-// OccupancySampler is the allocation-free companion of OccupancyReporter:
-// the replayer samples list occupancy every few thousand requests, and
-// building a fresh map per sample (ListPages) shows up in profiles. A
-// policy implementing this interface exposes a stable name order plus an
-// append-into-buffer counter path; ListPages stays as the convenient
-// public API.
+// paper's Fig. 13, VBBMS's two regions). The replayer samples list
+// occupancy every few thousand requests, so the interface is a stable name
+// order plus an allocation-free append-into-buffer counter path.
 type OccupancySampler interface {
-	OccupancyReporter
 	// OccupancyNames returns the list names in a fixed order. The slice is
 	// shared and must not be mutated.
 	OccupancyNames() []string
@@ -190,9 +180,10 @@ type OccupancySampler interface {
 
 // ListTransition is one annotation of policy-internal list movement: a
 // block (or a single split page) changing lists inside a multi-list policy.
-// The telemetry tracer uses these to record *why* a policy kept or evicted
-// data — e.g. Req-block's IRL→SRL upgrades and large-block splits into the
-// DRL.
+// The Perfetto trace export (obs.TraceExport) records them as instants on
+// the sampled request that caused them, to show *why* a policy kept or
+// evicted data — e.g. Req-block's IRL→SRL upgrades and large-block splits
+// into the DRL.
 type ListTransition struct {
 	// LPN is the first page involved: the hit page for a split, the
 	// block's head page for a whole-block move.
@@ -207,8 +198,9 @@ type ListTransition struct {
 }
 
 // TransitionSink receives list-transition annotations during Access or
-// EvictIdle. Implementations must be cheap when idle (the tracer checks a
-// sampled flag and returns) and must not call back into the policy.
+// EvictIdle. Implementations must be cheap when idle (the trace export
+// checks a sampled flag and returns) and must not call back into the
+// policy.
 type TransitionSink interface {
 	OnListTransition(tr ListTransition)
 }

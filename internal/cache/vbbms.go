@@ -103,14 +103,6 @@ func (c *VBBMS) NodeBytes() int { return 24 }
 // NodeCount implements Policy.
 func (c *VBBMS) NodeCount() int { return c.random.order.Len() + c.sequential.order.Len() }
 
-// ListPages implements OccupancyReporter.
-func (c *VBBMS) ListPages() map[string]int {
-	return map[string]int{
-		"random":     c.random.pageCount,
-		"sequential": c.sequential.pageCount,
-	}
-}
-
 // vbbmsListNames is the fixed OccupancyNames order, shared by all instances.
 var vbbmsListNames = []string{"random", "sequential"}
 

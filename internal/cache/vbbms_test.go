@@ -12,9 +12,8 @@ func TestVBBMSClassifiesBySize(t *testing.T) {
 	if c.RegionOf(100) != "sequential" {
 		t.Fatalf("page 100 in %q", c.RegionOf(100))
 	}
-	lp := c.ListPages()
-	if lp["random"] != 2 || lp["sequential"] != 6 {
-		t.Fatalf("ListPages = %v", lp)
+	if occ := c.AppendOccupancy(nil); len(occ) != 2 || occ[0] != 2 || occ[1] != 6 {
+		t.Fatalf("occupancy %v = %v, want [2 6]", c.OccupancyNames(), occ)
 	}
 }
 

@@ -169,7 +169,6 @@ type ReqBlock struct {
 
 var (
 	_ cache.Policy             = (*ReqBlock)(nil)
-	_ cache.OccupancyReporter  = (*ReqBlock)(nil)
 	_ cache.OccupancySampler   = (*ReqBlock)(nil)
 	_ cache.TransitionSource   = (*ReqBlock)(nil)
 	_ cache.VictimScanReporter = (*ReqBlock)(nil)
@@ -209,7 +208,7 @@ func (c *ReqBlock) NodeCount() int {
 // Delta returns the configured small-request bound.
 func (c *ReqBlock) Delta() int { return c.cfg.Delta }
 
-// ListPages implements cache.OccupancyReporter: buffered pages per list.
+// ListPages returns the buffered pages per list, by list name.
 func (c *ReqBlock) ListPages() map[string]int {
 	return map[string]int{
 		"IRL": c.listPages[inIRL],

@@ -122,13 +122,6 @@ func (c Config) Enabled() bool {
 		c.PrewornErases > 0 || c.PrewornJitter > 0
 }
 
-// InjectsFaults reports whether any flash-level fault source is active
-// (as opposed to only the crash/destage/checker harness features).
-func (c Config) InjectsFaults() bool {
-	return c.ProgramFailProb > 0 || c.EraseFailProb > 0 || c.GrownBadProb > 0 ||
-		len(c.FailProgramOps) > 0 || len(c.FailEraseOps) > 0
-}
-
 // Validate rejects configurations that cannot mean anything.
 func (c Config) Validate() error {
 	for _, p := range []struct {

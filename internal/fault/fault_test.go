@@ -26,7 +26,7 @@ func TestParseSpecFull(t *testing.T) {
 	if c.DestageNs != 1_500_000 {
 		t.Fatalf("DestageNs = %d, want 1.5ms", c.DestageNs)
 	}
-	if !c.CheckInvariants || !c.Enabled() || !c.InjectsFaults() {
+	if !c.CheckInvariants || !c.Enabled() {
 		t.Fatalf("flags wrong: %+v", c)
 	}
 }

@@ -1,16 +1,18 @@
 // Package list provides an intrusive, generically typed doubly linked list.
 //
-// Every SSD cache policy in this repository (LRU, FIFO, LFU, CFLRU, FAB,
-// BPLRU, VBBMS and Req-block's three-level lists) is built on ordered lists
-// with O(1) move-to-head, move-to-tail, and unlink operations. The standard
-// container/list works, but an intrusive typed list avoids an interface{}
-// indirection per element and lets a node carry its payload inline, which
-// matters when a simulation touches tens of millions of pages.
+// The recency-ordered cache policies in this repository (LRU and FIFO,
+// CFLRU, BPLRU, VBBMS, ECR, the read-ahead wrapper and Req-block's
+// three-level lists) are built on ordered lists with O(1) move-to-head,
+// move-to-tail, and unlink operations. The standard container/list works,
+// but an intrusive typed list avoids an interface{} indirection per element
+// and lets a node carry its payload inline, which matters when a simulation
+// touches tens of millions of pages. LFU, FAB and PUD-LRU order their
+// victims in indexed heaps (internal/vindex) instead.
 //
 // A List[T] owns Node[T] values allocated by the caller. A node may belong to
 // at most one list at a time; the list it belongs to is tracked so that
-// callers can assert membership cheaply (policies with multiple lists, such
-// as Req-block, rely on this).
+// misuse (pushing an attached node, unlinking a node from a list it does
+// not belong to) panics instead of corrupting two lists.
 package list
 
 // Node is an element of a List. The zero value is a detached node.
@@ -30,9 +32,6 @@ func (n *Node[T]) Prev() *Node[T] { return n.prev }
 
 // Attached reports whether the node currently belongs to any list.
 func (n *Node[T]) Attached() bool { return n.owner != nil }
-
-// In reports whether the node currently belongs to l.
-func (n *Node[T]) In(l *List[T]) bool { return n.owner == l }
 
 // List is a doubly linked list of *Node[T]. The zero value is an empty list
 // ready to use.
@@ -82,40 +81,6 @@ func (l *List[T]) PushTail(n *Node[T]) {
 	l.length++
 }
 
-// InsertAfter inserts a detached node immediately after at, which must belong
-// to l.
-func (l *List[T]) InsertAfter(n, at *Node[T]) {
-	l.checkDetached(n)
-	l.checkMember(at)
-	n.owner = l
-	n.prev = at
-	n.next = at.next
-	if at.next != nil {
-		at.next.prev = n
-	} else {
-		l.tail = n
-	}
-	at.next = n
-	l.length++
-}
-
-// InsertBefore inserts a detached node immediately before at, which must
-// belong to l.
-func (l *List[T]) InsertBefore(n, at *Node[T]) {
-	l.checkDetached(n)
-	l.checkMember(at)
-	n.owner = l
-	n.next = at
-	n.prev = at.prev
-	if at.prev != nil {
-		at.prev.next = n
-	} else {
-		l.head = n
-	}
-	at.prev = n
-	l.length++
-}
-
 // Remove unlinks n from the list. It panics if n does not belong to l.
 func (l *List[T]) Remove(n *Node[T]) {
 	l.checkMember(n)
@@ -153,15 +118,6 @@ func (l *List[T]) MoveToTail(n *Node[T]) {
 	l.PushTail(n)
 }
 
-// PopHead removes and returns the head node, or nil if the list is empty.
-func (l *List[T]) PopHead() *Node[T] {
-	n := l.head
-	if n != nil {
-		l.Remove(n)
-	}
-	return n
-}
-
 // PopTail removes and returns the tail node, or nil if the list is empty.
 func (l *List[T]) PopTail() *Node[T] {
 	n := l.tail
@@ -176,16 +132,6 @@ func (l *List[T]) Do(f func(v T)) {
 	for n := l.head; n != nil; n = n.next {
 		f(n.Value)
 	}
-}
-
-// Nodes returns the nodes from head to tail as a slice. Intended for tests
-// and diagnostics; it allocates.
-func (l *List[T]) Nodes() []*Node[T] {
-	out := make([]*Node[T], 0, l.length)
-	for n := l.head; n != nil; n = n.next {
-		out = append(out, n)
-	}
-	return out
 }
 
 // Validate checks the structural invariants of the list: the head/tail

@@ -32,7 +32,7 @@ func TestEmptyList(t *testing.T) {
 	if !l.Validate() {
 		t.Fatal("empty list fails validation")
 	}
-	if l.PopHead() != nil || l.PopTail() != nil {
+	if l.PopTail() != nil {
 		t.Fatal("pop on empty list returned node")
 	}
 }
@@ -107,33 +107,16 @@ func TestMoveToHeadAndTail(t *testing.T) {
 	}
 }
 
-func TestInsertAfterBefore(t *testing.T) {
-	var l List[int]
-	a := &Node[int]{Value: 1}
-	c := &Node[int]{Value: 3}
-	l.PushTail(a)
-	l.PushTail(c)
-	l.InsertAfter(&Node[int]{Value: 2}, a)
-	l.InsertBefore(&Node[int]{Value: 0}, a)
-	l.InsertAfter(&Node[int]{Value: 4}, c)
-	if got := collect(&l); !equalInts(got, []int{0, 1, 2, 3, 4}) {
-		t.Fatalf("insert order: %v", got)
-	}
-	if !l.Validate() {
-		t.Fatal("validation failed")
-	}
-}
-
 func TestPopOrder(t *testing.T) {
 	var l List[int]
 	for i := 0; i < 3; i++ {
 		l.PushTail(&Node[int]{Value: i})
 	}
-	if n := l.PopHead(); n.Value != 0 {
-		t.Fatalf("PopHead = %d, want 0", n.Value)
-	}
 	if n := l.PopTail(); n.Value != 2 {
 		t.Fatalf("PopTail = %d, want 2", n.Value)
+	}
+	if n := l.PopTail(); n.Value != 1 {
+		t.Fatalf("PopTail = %d, want 1", n.Value)
 	}
 	if l.Len() != 1 || l.Head() != l.Tail() {
 		t.Fatal("single-element invariant broken")
@@ -144,13 +127,16 @@ func TestMembershipTracking(t *testing.T) {
 	var a, b List[int]
 	n := &Node[int]{Value: 7}
 	a.PushHead(n)
-	if !n.In(&a) || n.In(&b) {
-		t.Fatal("membership tracking wrong after push")
+	if !n.Attached() {
+		t.Fatal("pushed node not attached")
 	}
 	a.Remove(n)
+	if n.Attached() {
+		t.Fatal("removed node still attached")
+	}
 	b.PushTail(n)
-	if n.In(&a) || !n.In(&b) {
-		t.Fatal("membership tracking wrong after move across lists")
+	if !n.Attached() || a.Len() != 0 || b.Head() != n {
+		t.Fatal("membership wrong after move across lists")
 	}
 }
 
@@ -176,17 +162,6 @@ func TestRemoveForeignNodePanics(t *testing.T) {
 	n := &Node[int]{}
 	a.PushHead(n)
 	b.Remove(n)
-}
-
-func TestNodesSnapshot(t *testing.T) {
-	var l List[int]
-	for i := 0; i < 4; i++ {
-		l.PushTail(&Node[int]{Value: i * 10})
-	}
-	ns := l.Nodes()
-	if len(ns) != 4 || ns[0].Value != 0 || ns[3].Value != 30 {
-		t.Fatalf("Nodes snapshot wrong: %v", ns)
-	}
 }
 
 // TestRandomOpsProperty drives a list with random operations against a slice

@@ -10,8 +10,9 @@
 // ratio, occupancy, queue depth, fault injections, retired blocks,
 // degraded-mode transitions), a Prometheus-text /metrics endpoint with
 // /healthz and /debug/pprof, a periodic NDJSON progress line for headless
-// runs, and deterministic sampled request tracing that records why a
-// policy kept or evicted a block.
+// runs, and one deterministic sampled request trace (TraceExport, in the
+// Chrome trace-event format Perfetto loads) that records where each
+// sampled request's time went and why the policy kept or evicted a block.
 //
 // Design rules, enforced by the alloc and passivity tests:
 //
@@ -19,12 +20,12 @@
 //     metrics bit-identical — instruments read events and device state,
 //     never mutate them.
 //   - The hot path stays allocation-free. Instruments are fixed-bucket
-//     log2 histograms and atomic counters; the unsampled tracer path and
-//     the disabled (nil) path cost one branch.
+//     log2 histograms and atomic counters; the unsampled trace path costs
+//     one hash and a few branches, and the disabled (nil) path one branch.
 //   - Exposition is race-safe. The engine is single-threaded, but /metrics
 //     is served concurrently; every instrument is atomic, so a scrape
 //     mid-request reads a consistent-enough snapshot without locks.
 //
 // docs/OBSERVABILITY.md catalogs the instruments, the exposition formats
-// and the trace-span schema.
+// and the trace-event schema.
 package obs

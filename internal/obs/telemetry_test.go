@@ -74,16 +74,16 @@ func churnTrace(n int) *trace.Trace {
 
 // fullStack returns a Telemetry plus every optional consumer wired up,
 // ready to attach to one replay.
-func fullStack(w io.Writer) (*Telemetry, *Tracer, *Progress) {
+func fullStack(w io.Writer) (*Telemetry, *TraceExport, *Progress) {
 	tel := New()
-	tracer := NewTracer(w, 64, 1)
+	exp := NewTraceExport(w, 64, 1)
 	progress := NewProgress(io.Discard, 5000)
-	return tel, tracer, progress
+	return tel, exp, progress
 }
 
-// Attaching the whole telemetry plane — observer, flash tap, tracer,
-// progress reporter — must leave replay metrics bit-identical to a bare
-// run: observation is passive (issue acceptance criterion).
+// Attaching the whole telemetry plane — observer, flash tap, trace export
+// (also the policy's list-transition sink), progress reporter — must leave
+// replay metrics bit-identical to a bare run: observation is passive.
 func TestTelemetryIsPassive(t *testing.T) {
 	tr := testTrace(t)
 	opts := replay.Options{
@@ -100,13 +100,13 @@ func TestTelemetryIsPassive(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tel, tracer, progress := fullStack(io.Discard)
+	tel, exp, progress := fullStack(io.Discard)
 	dev := testDevice(t)
 	dev.SetTap(tel)
 	pol := core.New(1024)
-	pol.SetTransitionSink(tracer)
+	pol.SetTransitionSink(exp)
 	instrumented := opts
-	instrumented.Observers = []sim.Observer{tel.Observer(), tracer, progress}
+	instrumented.Observers = []sim.Observer{tel.Observer(), exp, progress}
 	got, err := replay.Run(tr, pol, dev, instrumented)
 	if err != nil {
 		t.Fatal(err)
@@ -115,8 +115,11 @@ func TestTelemetryIsPassive(t *testing.T) {
 	if !reflect.DeepEqual(plain, got) {
 		t.Fatal("telemetry perturbed replay metrics; observation must be passive")
 	}
-	if tracer.SampledCount() == 0 {
-		t.Fatal("tracer sampled nothing at rate 64")
+	if err := exp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if exp.SampledCount() == 0 {
+		t.Fatal("trace export sampled nothing at rate 64")
 	}
 }
 

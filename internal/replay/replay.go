@@ -281,7 +281,7 @@ type Metrics struct {
 	MeanNodes float64
 
 	// ListSeries samples each internal list's page count every
-	// SeriesInterval requests for OccupancyReporter policies (Fig. 13).
+	// SeriesInterval requests for OccupancySampler policies (Fig. 13).
 	ListSeries map[string]*metrics.Series
 
 	// InsertBySize / HitBySize histogram page inserts and page hits by

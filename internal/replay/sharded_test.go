@@ -28,9 +28,9 @@ func shardTestDevice(int) (*ssd.Device, error) {
 
 // TestShardedDeterministicAcrossRuns pins the sequence-number merge: a
 // multi-shard replay run twice must produce DeepEqual metrics AND a
-// byte-identical trace-span stream, for both sharing modes, with tenant
-// routing and with hash routing. Goroutine scheduling varies between the
-// runs; the merge must hide it completely.
+// byte-identical Perfetto export of every request, for both sharing
+// modes, with tenant routing and with hash routing. Goroutine scheduling
+// varies between the runs; the merge must hide it completely.
 func TestShardedDeterministicAcrossRuns(t *testing.T) {
 	leakcheck.Check(t)
 	ts0, hm1 := workload.TS0(), workload.HM1()
@@ -55,8 +55,8 @@ func TestShardedDeterministicAcrossRuns(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func() (*Metrics, []byte) {
-				var spans bytes.Buffer
-				tracer := obs.NewTracer(&spans, 1, 42)
+				var out bytes.Buffer
+				exp := obs.NewTraceExport(&out, 1, 42)
 				opts := Options{
 					TrackPageFates:      true,
 					SmallThresholdPages: 4,
@@ -65,7 +65,7 @@ func TestShardedDeterministicAcrossRuns(t *testing.T) {
 					IdleFlushNs:         2_000_000,
 					QueueDepth:          8,
 					TenantBoundaries:    tc.tenants,
-					Observers:           []sim.Observer{tracer},
+					Observers:           []sim.Observer{exp},
 				}
 				// Hash-region size only without explicit boundaries: the
 				// combination is rejected as contradictory (sim.NewSharded).
@@ -84,19 +84,19 @@ func TestShardedDeterministicAcrossRuns(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := tracer.Close(); err != nil {
+				if err := exp.Close(); err != nil {
 					t.Fatal(err)
 				}
-				return m, spans.Bytes()
+				return m, out.Bytes()
 			}
-			m1, spans1 := run()
-			m2, spans2 := run()
+			m1, trace1 := run()
+			m2, trace2 := run()
 			if !reflect.DeepEqual(m1, m2) {
 				t.Fatalf("sharded replay not deterministic:\nrun1: %+v\nrun2: %+v", m1, m2)
 			}
-			if !bytes.Equal(spans1, spans2) {
-				t.Fatalf("trace-span streams differ between runs (%d vs %d bytes)",
-					len(spans1), len(spans2))
+			if !bytes.Equal(trace1, trace2) {
+				t.Fatalf("trace exports differ between runs (%d vs %d bytes)",
+					len(trace1), len(trace2))
 			}
 			if m1.Requests == 0 {
 				t.Fatal("sharded replay processed no requests")

@@ -14,7 +14,7 @@ import (
 
 // The engine must stay at ~0 allocations per request with the FULL
 // telemetry plane attached: histogram/counter observer, flash timing tap,
-// an (unsampled) request tracer and a progress reporter. This is the
+// an (unsampled) Perfetto trace export and a progress reporter. This is the
 // telemetry-enabled companion of TestEngineStepSteadyStateAllocs, which
 // pins the disabled baseline; together they guarantee observability is
 // free when off and allocation-free when on. It lives in package sim_test
@@ -32,16 +32,16 @@ func TestEngineStepAllocsWithTelemetry(t *testing.T) {
 	const steps = 33000
 	tel := obs.New()
 	dev.SetTap(tel)
-	tracer := obs.NewTracer(io.Discard, 1<<30, 42)
+	exp := obs.NewTraceExport(io.Discard, 1<<30, 42)
 	for i := 0; i < steps+2100; i++ {
-		if tracer.Sampled(i) {
+		if exp.Sampled(i) {
 			t.Fatalf("index %d sampled at rate 2^30; pick another seed", i)
 		}
 	}
 	progress := obs.NewProgress(io.Discard, 0)
 
 	eng := sim.New(nil, cache.NewLRU(4096), dev, sim.Config{QueueDepth: 16})
-	eng.Observe(tel.Observer(), tracer, progress)
+	eng.Observe(tel.Observer(), exp, progress)
 	eng.Begin()
 
 	rng := rand.New(rand.NewSource(7))

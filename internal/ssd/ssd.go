@@ -164,9 +164,6 @@ func New(p Params) (*Device, error) {
 // a replay's metrics. The telemetry plane (internal/obs) implements it.
 func (d *Device) SetTap(t ftl.Tap) { d.f.SetTap(t) }
 
-// FaultsEnabled reports whether a fault injector is attached.
-func (d *Device) FaultsEnabled() bool { return d.inj != nil }
-
 // Degraded reports whether the device has entered read-only mode.
 func (d *Device) Degraded() bool { return d.f.Degraded() }
 
