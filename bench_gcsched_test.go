@@ -41,12 +41,12 @@ func BenchmarkGCSchedTail(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				p := ssd.ScaledParams(64)
 				p.Precondition = 0.98 // nearly full: every burst is GC pressure
-				if mode.budget > 0 {
-					p.GCSched = ftl.GCSchedConfig{Enabled: true, PaceSteps: -1}
-				}
 				dev, err := ssd.New(p)
 				if err != nil {
 					b.Fatal(err)
+				}
+				if mode.budget > 0 {
+					dev.EnableGCScheduler(ftl.GCSchedConfig{PaceSteps: -1})
 				}
 				m, err := replay.Run(tr, core.New(512), dev, replay.Options{
 					IdleFlushNs:       2_000_000,

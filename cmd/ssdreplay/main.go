@@ -91,9 +91,6 @@ func main() {
 		// wear detection and retirement) must actually run.
 		params.Precondition = 0.9
 	}
-	if *gcBudget > 0 {
-		params.GCSched.Enabled = true
-	}
 	smode, err := sim.ParseSharing(*sharing)
 	if err != nil {
 		fail(err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/metrics"
 	"repro/internal/replay"
@@ -28,8 +29,8 @@ type GridResult struct {
 // RunGrid replays every trace × policy × cache-size combination once, with
 // the instrumentation all the grid figures need. Cells are independent
 // simulations (each gets a fresh device and policy over a shared read-only
-// trace), so they run on a worker pool sized to the machine; results are
-// deterministic and ordered regardless of scheduling.
+// trace), so they run through eachCell; results are deterministic and
+// ordered regardless of scheduling.
 func (r *Runner) RunGrid() (*GridResult, error) {
 	g := &GridResult{CacheMBs: r.cfg.CacheSizesMB}
 	factories := r.PaperPolicies()
@@ -59,33 +60,49 @@ func (r *Runner) RunGrid() (*GridResult, error) {
 	}
 	g.Cells = make([]Cell, len(jobs))
 	errs := make([]error, len(jobs))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i, j := range jobs {
-		wg.Add(1)
-		go func(i int, j job) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			f := factories[j.factory]
-			m, err := r.Replay(j.trace, f, j.cacheMB, replay.Options{
-				SeriesInterval: r.cfg.SeriesInterval,
-				QueueDepth:     r.cfg.QueueDepth,
-			})
-			if err != nil {
-				errs[i] = fmt.Errorf("grid %s/%s/%dMB: %w", j.trace, f.Name, j.cacheMB, err)
-				return
-			}
-			g.Cells[i] = Cell{Trace: j.trace, Policy: f.Name, CacheMB: j.cacheMB, M: m}
-		}(i, j)
-	}
-	wg.Wait()
+	r.eachCell(len(jobs), func(i int) {
+		j, f := jobs[i], factories[jobs[i].factory]
+		m, err := r.Replay(j.trace, f, j.cacheMB, replay.Options{
+			SeriesInterval: r.cfg.SeriesInterval,
+			QueueDepth:     r.cfg.QueueDepth,
+		})
+		if err != nil {
+			errs[i] = fmt.Errorf("grid %s/%s/%dMB: %w", j.trace, f.Name, j.cacheMB, err)
+			return
+		}
+		g.Cells[i] = Cell{Trace: j.trace, Policy: f.Name, CacheMB: j.cacheMB, M: m}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
 	return g, nil
+}
+
+// eachCell calls cell(i) for every i in [0, n). The cells are independent
+// replays, so one goroutine per core pulls them in index order. Observers
+// attached through Config.Observers (telemetry, obs.Progress,
+// obs.TraceExport) are single-goroutine state shared by every replay, so
+// with any attached the cells run one at a time, in index order, on one
+// goroutine: the observers then see the same event stream on every run.
+func (r *Runner) eachCell(n int, cell func(i int)) {
+	workers := runtime.GOMAXPROCS(0)
+	if len(r.cfg.Observers) > 0 {
+		workers = 1
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < min(workers, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				cell(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // Find returns the metrics of one cell, or nil.

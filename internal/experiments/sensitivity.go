@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -24,7 +22,7 @@ type Figure7Row struct {
 
 // Figure7 sweeps Req-block's δ parameter (1..8 by default) with a 32 MB
 // cache and reports results normalized to δ=1, as the paper does. The
-// (trace, δ) cells are independent replays and run on a worker pool.
+// (trace, δ) cells are independent replays and run through eachCell.
 func (r *Runner) Figure7(deltas []int) ([]Figure7Row, error) {
 	if len(deltas) == 0 {
 		deltas = []int{1, 2, 3, 4, 5, 6, 7, 8}
@@ -42,29 +40,22 @@ func (r *Runner) Figure7(deltas []int) ([]Figure7Row, error) {
 		err       error
 	}
 	cells := make([][]cell, len(profiles))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for pi, p := range profiles {
+	for pi := range cells {
 		cells[pi] = make([]cell, len(deltas))
-		for di, d := range deltas {
-			wg.Add(1)
-			go func(pi, di int, name string, delta int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				f := cache.Factory{Name: "Req-block", New: func(c int) cache.Policy {
-					return core.NewConfig(c, core.Config{Delta: delta, Merge: true, Recency: true})
-				}}
-				m, err := r.Replay(name, f, cacheMB, replay.Options{})
-				if err != nil {
-					cells[pi][di].err = fmt.Errorf("figure7 %s δ=%d: %w", name, delta, err)
-					return
-				}
-				cells[pi][di] = cell{hit: m.HitRatio(), resp: m.Response.Mean()}
-			}(pi, di, p.Name, d)
-		}
 	}
-	wg.Wait()
+	r.eachCell(len(profiles)*len(deltas), func(i int) {
+		pi, di := i/len(deltas), i%len(deltas)
+		name, delta := profiles[pi].Name, deltas[di]
+		f := cache.Factory{Name: "Req-block", New: func(c int) cache.Policy {
+			return core.NewConfig(c, core.Config{Delta: delta, Merge: true, Recency: true})
+		}}
+		m, err := r.Replay(name, f, cacheMB, replay.Options{})
+		if err != nil {
+			cells[pi][di].err = fmt.Errorf("figure7 %s δ=%d: %w", name, delta, err)
+			return
+		}
+		cells[pi][di] = cell{hit: m.HitRatio(), resp: m.Response.Mean()}
+	})
 	var out []Figure7Row
 	for pi, p := range profiles {
 		row := Figure7Row{Trace: p.Name, Deltas: deltas}

@@ -83,6 +83,12 @@ type Tap interface {
 	// beyond any backlog already queued there) and `pagesMoved` the valid
 	// pages migrated.
 	TapGC(pause int64, pagesMoved int)
+	// TapGCPreempt reports a scheduled GC slice (or paced burst) ending
+	// with a victim collection still in flight; pagesMoved is its progress
+	// so far (see gcsched.go).
+	TapGCPreempt(now int64, pagesMoved int)
+	// TapGCResume reports an in-flight collection being picked back up.
+	TapGCResume(now int64, pagesMoved int)
 }
 
 // FTL is a page-level flash translation layer bound to one flash array and
@@ -128,8 +134,7 @@ type FTL struct {
 	// check the choice against the per-block reference scans with it).
 	victimHook func(site victimSite, plane int, budgetNs int64, victim int)
 
-	tap      Tap        // timing observations, nil unless telemetry is attached
-	schedTap TapGCSched // tap's optional scheduler extension, cached at SetTap
+	tap Tap // timing observations, nil unless telemetry is attached
 
 	// Preemptible GC scheduler (see gcsched.go; all zero when disabled).
 	gcSched   bool         // scheduler enabled
@@ -286,12 +291,7 @@ func (f *FTL) EnableFaults(inj *fault.Injector) {
 
 // SetTap attaches a timing tap (nil detaches). Taps observe; they cannot
 // alter the simulation, so attaching one keeps every metric bit-identical.
-// A tap that also implements TapGCSched additionally receives GC
-// preempt/resume callbacks.
-func (f *FTL) SetTap(t Tap) {
-	f.tap = t
-	f.schedTap, _ = t.(TapGCSched)
-}
+func (f *FTL) SetTap(t Tap) { f.tap = t }
 
 // SetChecker attaches an invariant checker that runs after every operation
 // in which a fault recovery occurred. A violation fails the write that
@@ -821,18 +821,16 @@ func (f *FTL) maybeGC(now int64, plane int) int64 {
 // plane's active block, erases it, and returns it to the free list. A full
 // frontier block is a candidate like any other full block: a plane whose
 // free blocks are gone may have nothing else to reclaim. Open and retired
-// blocks never are, nor is an in-flight scheduled job's victim.
+// blocks never are. maybeGC, the only caller, first finishes any in-flight
+// scheduled job on the plane, so no job's victim is ever among the
+// candidates.
 //
 // When the victim's erase fails (injected erase failure or grown-bad
 // detection), the block is retired instead of freed and gcOnce still
 // reports progress: the caller's loop re-selects the next-best victim —
 // the paper-stack equivalent of GC victim re-selection under erase faults.
 func (f *FTL) gcOnce(now int64, plane int) bool {
-	skip := -1
-	if f.job.active {
-		skip = f.job.victim
-	}
-	victim, _ := f.arr.GreedyVictim(plane, skip, -1)
+	victim, _ := f.arr.GreedyVictim(plane, -1, -1)
 	if f.victimHook != nil {
 		f.victimHook(victimGreedy, plane, 0, victim)
 	}
@@ -911,34 +909,6 @@ func (f *FTL) gcOnce(now int64, plane int) bool {
 		f.tap.TapGC(f.tl.ChipFree(chip)-gcStart, moved)
 	}
 	return true
-}
-
-// BackgroundGC opportunistically collects up to maxVictims blocks during
-// an idle window, targeting planes whose free pool sits below softLow
-// blocks — a laxer bar than the foreground gcLow, so idle time refills
-// headroom before the write path ever stalls on GC. It returns the number
-// of victims collected; the erases and migrations occupy the dies through
-// the timeline exactly like foreground GC.
-func (f *FTL) BackgroundGC(now int64, maxVictims, softLow int) int {
-	if f.degraded {
-		return 0 // read-only mode: preserve what is left
-	}
-	if softLow <= f.gcLow {
-		softLow = f.gcLow * 2
-	}
-	collected := 0
-	for pl := range f.freeBlocks {
-		for collected < maxVictims && len(f.freeBlocks[pl]) < softLow {
-			if !f.gcOnce(now, pl) {
-				break
-			}
-			collected++
-		}
-		if collected >= maxVictims {
-			break
-		}
-	}
-	return collected
 }
 
 // FreeBlocks returns the current free-block count of a plane (tests).

@@ -23,9 +23,9 @@
 // so an expensive victim on a healthy plane loses to a slightly worse ratio
 // on a starving one.
 //
-// Everything here is strictly opt-in: with the scheduler disabled no job is
-// ever active and every hook in the legacy paths reduces to one predictable
-// false branch, keeping disabled runs bit-identical to greedy GC.
+// Everything here is strictly opt-in: until EnableGCScheduler is called no
+// job is ever active and every hook in the greedy paths reduces to one
+// predictable false branch, keeping such runs bit-identical to greedy GC.
 package ftl
 
 import (
@@ -52,15 +52,10 @@ const (
 	victimJobOnPlane                   // startJobOnPlane
 )
 
-// GCSchedConfig configures the preemptible GC scheduler.
+// GCSchedConfig configures the preemptible GC scheduler. The per-plane
+// free-block watermark separating the idle-only tier from background
+// pacing is 2× the foreground GC threshold.
 type GCSchedConfig struct {
-	// Enabled turns the scheduler on. False is the default and keeps the
-	// FTL bit-identical to plain greedy GC.
-	Enabled bool
-	// SoftLowBlocks is the per-plane free-block watermark separating the
-	// idle-only tier from background pacing. 0 (or any value ≤ gcLow)
-	// selects 2× the foreground GC threshold, matching BackgroundGC.
-	SoftLowBlocks int
 	// PaceSteps bounds how many GC copy steps piggyback on one host page
 	// program while a plane sits in the background tier. 0 selects the
 	// default of 1; negative disables pacing entirely (idle slices and
@@ -97,17 +92,6 @@ type GCSchedStats struct {
 	CostDeferred int64
 }
 
-// TapGCSched extends Tap with scheduler lifecycle callbacks. Tap
-// implementations may optionally implement it; SetTap detects the extension
-// by type assertion so existing taps keep working unchanged.
-type TapGCSched interface {
-	// TapGCPreempt reports a budget slice (or paced burst) ending with a
-	// job still in flight; pagesMoved is the job's progress so far.
-	TapGCPreempt(now int64, pagesMoved int)
-	// TapGCResume reports an in-flight job being picked back up.
-	TapGCResume(now int64, pagesMoved int)
-}
-
 // gcJob is the resumable state of one in-flight victim collection. At most
 // one job exists per FTL; its victim block stays full (hence excluded from
 // re-selection and allocation) until the finalize erase, so mapping and
@@ -123,21 +107,15 @@ type gcJob struct {
 	tier    uint8 // urgency tier at selection time
 }
 
-// EnableGCScheduler configures the preemptible GC scheduler. Calling it
-// with Enabled false (or not at all) leaves the FTL on plain greedy GC.
-// Must not be called while a job is in flight.
+// EnableGCScheduler turns the preemptible GC scheduler on; an FTL that
+// never calls it stays on plain greedy GC. Must not be called while a job
+// is in flight.
 func (f *FTL) EnableGCScheduler(cfg GCSchedConfig) {
 	if f.job.active {
 		panic("ftl: EnableGCScheduler with a GC job in flight")
 	}
-	f.gcSched = cfg.Enabled
-	if !cfg.Enabled {
-		return
-	}
-	f.gcSoftLow = cfg.SoftLowBlocks
-	if f.gcSoftLow <= f.gcLow {
-		f.gcSoftLow = f.gcLow * 2
-	}
+	f.gcSched = true
+	f.gcSoftLow = f.gcLow * 2
 	switch {
 	case cfg.PaceSteps == 0:
 		f.gcPace = 1
@@ -164,9 +142,9 @@ func (f *FTL) copyStepCost() int64 { return f.p.ReadLatency + f.p.ProgramLatency
 // projected die time, resuming any in-flight job first and preempting
 // cleanly when the next step would not fit. It returns the number of victim
 // collections completed (a retirement counts: the candidate pool shrank).
-// This is the budgeted evolution of BackgroundGC, driven from the engine's
-// between-request gaps and the service front-end's queue-empty signal; it
-// is a no-op unless EnableGCScheduler was called.
+// It is the one idle-time GC, driven from the engine's between-request gaps
+// and the service front-end's queue-empty signal; it is a no-op unless
+// EnableGCScheduler was called.
 func (f *FTL) ScheduleGC(now, budgetNs int64) int {
 	if !f.gcSched || f.degraded || budgetNs <= 0 {
 		return 0
@@ -434,14 +412,14 @@ func (f *FTL) paceGC(now int64, plane int) {
 
 func (f *FTL) notePreempt(now int64) {
 	f.sched.Preempts++
-	if f.schedTap != nil {
-		f.schedTap.TapGCPreempt(now, f.job.moved)
+	if f.tap != nil {
+		f.tap.TapGCPreempt(now, f.job.moved)
 	}
 }
 
 func (f *FTL) noteResume(now int64) {
 	f.sched.Resumes++
-	if f.schedTap != nil {
-		f.schedTap.TapGCResume(now, f.job.moved)
+	if f.tap != nil {
+		f.tap.TapGCResume(now, f.job.moved)
 	}
 }

@@ -161,41 +161,32 @@ func TestRetireBlockReserveExhaustion(t *testing.T) {
 }
 
 func TestScheduleGCDisabledIsNoOp(t *testing.T) {
-	// Three devices run the same workload: no scheduler call at all,
-	// EnableGCScheduler(Enabled: false), and enabled-but-idle (pacing off,
-	// no ScheduleGC calls). The first two must be bit-identical throughout;
-	// the third may count mandatory victims in its scheduler stats but must
-	// leave every FTL-level stat and the logical state untouched.
+	// Two devices run the same workload: no scheduler call at all, and
+	// enabled-but-idle (pacing off, no ScheduleGC calls). The second may
+	// count mandatory victims in its scheduler stats but must leave every
+	// FTL-level stat and the logical state untouched.
 	plain := mustNew(t, tinyParams())
-	disabled := mustNew(t, tinyParams())
-	disabled.EnableGCScheduler(GCSchedConfig{Enabled: false})
 	idle := mustNew(t, tinyParams())
-	idle.EnableGCScheduler(GCSchedConfig{Enabled: true, PaceSteps: -1})
+	idle.EnableGCScheduler(GCSchedConfig{PaceSteps: -1})
 
 	if n := plain.ScheduleGC(0, 1_000_000_000); n != 0 {
 		t.Fatalf("ScheduleGC on scheduler-less FTL collected %d", n)
-	}
-	if n := disabled.ScheduleGC(0, 1_000_000_000); n != 0 {
-		t.Fatalf("ScheduleGC on disabled FTL collected %d", n)
 	}
 
 	for round := 0; round < 40; round++ {
 		now := int64(round) * 1_000_000
 		lpns := seq(int64(round%5)*8, 16)
-		for _, f := range []*FTL{plain, disabled, idle} {
+		for _, f := range []*FTL{plain, idle} {
 			if _, err := f.WriteStriped(now, lpns); err != nil {
 				t.Fatalf("round %d: %v", round, err)
 			}
 		}
 	}
-	if plain.Stats() != disabled.Stats() {
-		t.Fatalf("Enabled:false perturbed the run:\n%+v\n%+v", plain.Stats(), disabled.Stats())
-	}
 	if plain.Stats() != idle.Stats() {
 		t.Fatalf("enabled-but-never-scheduled perturbed FTL stats:\n%+v\n%+v", plain.Stats(), idle.Stats())
 	}
 	for lpn := int64(0); lpn < plain.LogicalPages(); lpn++ {
-		if plain.Mapped(lpn) != disabled.Mapped(lpn) || plain.Mapped(lpn) != idle.Mapped(lpn) {
+		if plain.Mapped(lpn) != idle.Mapped(lpn) {
 			t.Fatalf("lpn %d liveness diverged across scheduler configs", lpn)
 		}
 	}
@@ -209,7 +200,7 @@ func TestScheduleGCIdleSliceCollectsCheapVictim(t *testing.T) {
 	// possible victim (~17 ms projected). A 2 ms slice must defer it on
 	// the cost gate; a 30 ms slice must collect it completely.
 	f := mustNew(t, onePlaneParams())
-	f.EnableGCScheduler(GCSchedConfig{Enabled: true})
+	f.EnableGCScheduler(GCSchedConfig{})
 	if _, err := f.WriteStriped(0, seq(0, 4)); err != nil { // block 0 fills
 		t.Fatal(err)
 	}
@@ -280,7 +271,7 @@ func parkPacedJob(t *testing.T, f *FTL) {
 
 func TestPacedGCPreemptsAndResumes(t *testing.T) {
 	f := mustNew(t, onePlaneParams())
-	f.EnableGCScheduler(GCSchedConfig{Enabled: true}) // pace default 1
+	f.EnableGCScheduler(GCSchedConfig{}) // pace default 1
 	parkPacedJob(t, f)
 	// An idle slice resumes the parked job and drains it: the remaining
 	// copy, then the erase, one completed collection.
@@ -324,7 +315,7 @@ func TestScheduledFinalizeRetiresOnEraseFault(t *testing.T) {
 	f.EnableFaults(inj)
 	c = fault.NewChecker(f)
 	f.SetChecker(c)
-	f.EnableGCScheduler(GCSchedConfig{Enabled: true})
+	f.EnableGCScheduler(GCSchedConfig{})
 
 	if _, err := f.WriteStriped(0, seq(0, 4)); err != nil {
 		t.Fatal(err)
@@ -356,7 +347,7 @@ func TestScheduledFinalizeRetiresOnEraseFault(t *testing.T) {
 
 func TestScheduleGCDegradedReturnsZero(t *testing.T) {
 	f := mustNew(t, onePlaneParams())
-	f.EnableGCScheduler(GCSchedConfig{Enabled: true})
+	f.EnableGCScheduler(GCSchedConfig{})
 	if _, err := f.WriteStriped(0, seq(0, 4)); err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +378,7 @@ func TestMandatoryAdoptionFinishesParkedJob(t *testing.T) {
 	// pressure — the excluded victim must re-enter circulation instead of
 	// deadlocking the plane.
 	f := mustNew(t, onePlaneParams())
-	f.EnableGCScheduler(GCSchedConfig{Enabled: true})
+	f.EnableGCScheduler(GCSchedConfig{})
 	parkPacedJob(t, f)
 	if _, err := f.WriteStriped(2, seq(21, 1)); err != nil {
 		t.Fatal(err)

@@ -59,8 +59,8 @@ func gcHeavyParams() flash.Params {
 }
 
 // churnRandom drives a randomized mix of striped, block-bound and
-// channel-bound writes, trims, budgeted GC slices and idle collections
-// until the device turns read-only or ops run out.
+// channel-bound writes, trims and budgeted GC slices until the device
+// turns read-only or ops run out.
 func churnRandom(t *testing.T, f *FTL, seed uint64, ops int) {
 	t.Helper()
 	state := seed*0x9e3779b97f4a7c15 + 1
@@ -84,10 +84,8 @@ func churnRandom(t *testing.T, f *FTL, seed uint64, ops int) {
 			_, err = f.WriteBlockBound(now, lpns)
 		case r < 82:
 			_, err = f.WriteOnChannel(now, lpns, int(next(int64(f.p.Channels))))
-		case r < 92:
-			f.ScheduleGC(now, 1+next(40_000_000))
 		case r < 95:
-			f.BackgroundGC(now, 1+int(next(3)), 0)
+			f.ScheduleGC(now, 1+next(40_000_000))
 		default:
 			err = f.Trim(lpns)
 		}
@@ -117,7 +115,7 @@ func TestWearIndexMatchesLinearScan(t *testing.T) {
 			t.Fatal(err)
 		}
 		f.EnableFaults(inj)
-		f.EnableGCScheduler(GCSchedConfig{Enabled: true})
+		f.EnableGCScheduler(GCSchedConfig{})
 		c := checkPicks(t, f)
 		churnRandom(t, f, seed, 3000)
 		if err := f.CheckInvariants(); err != nil {

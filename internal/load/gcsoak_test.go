@@ -51,7 +51,6 @@ func TestGCSchedSoak(t *testing.T) {
 		p.Flash.BlocksPerPlane = 512
 		p.Flash.PagesPerBlock = 16
 		p.Precondition = 0.9 // nearly full: scheduled slices find real victims
-		p.GCSched.Enabled = true
 		p.Faults = fault.Config{
 			Seed:            uint64(11 + shard),
 			GrownBadProb:    1e-4,

@@ -369,21 +369,13 @@ func (m multiTap) TapGC(pause int64, pagesMoved int) {
 		t.TapGC(pause, pagesMoved)
 	}
 }
-
-// multiTap also satisfies ftl.TapGCSched, forwarding to whichever members
-// implement the extension — so a telemetry+flight-recorder tee loses
-// neither side's preempt/resume stream.
 func (m multiTap) TapGCPreempt(now int64, pagesMoved int) {
 	for _, t := range m {
-		if s, ok := t.(ftl.TapGCSched); ok {
-			s.TapGCPreempt(now, pagesMoved)
-		}
+		t.TapGCPreempt(now, pagesMoved)
 	}
 }
 func (m multiTap) TapGCResume(now int64, pagesMoved int) {
 	for _, t := range m {
-		if s, ok := t.(ftl.TapGCSched); ok {
-			s.TapGCResume(now, pagesMoved)
-		}
+		t.TapGCResume(now, pagesMoved)
 	}
 }

@@ -181,12 +181,14 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 }
 
 // countTap counts calls for MultiTap fan-out assertions.
-type countTap struct{ program, gc int }
+type countTap struct{ program, gc, preempt, resume int }
 
-func (c *countTap) TapProgram(issue, done int64) { c.program++ }
-func (c *countTap) TapRead(issue, done int64)    {}
-func (c *countTap) TapErase(issue, done int64)   {}
-func (c *countTap) TapGC(pause int64, pages int) { c.gc++ }
+func (c *countTap) TapProgram(issue, done int64)           { c.program++ }
+func (c *countTap) TapRead(issue, done int64)              {}
+func (c *countTap) TapErase(issue, done int64)             {}
+func (c *countTap) TapGC(pause int64, pages int)           { c.gc++ }
+func (c *countTap) TapGCPreempt(now int64, pagesMoved int) { c.preempt++ }
+func (c *countTap) TapGCResume(now int64, pagesMoved int)  { c.resume++ }
 
 // MultiTap drops nil and typed-nil taps, unwraps a single survivor, and
 // tees to all survivors otherwise.
@@ -202,7 +204,10 @@ func TestMultiTap(t *testing.T) {
 	tee := MultiTap(a, b)
 	tee.TapProgram(0, 1)
 	tee.TapGC(5, 2)
-	if a.program != 1 || b.program != 1 || a.gc != 1 || b.gc != 1 {
+	tee.TapGCPreempt(6, 1)
+	tee.TapGCResume(7, 1)
+	want := countTap{program: 1, gc: 1, preempt: 1, resume: 1}
+	if *a != want || *b != want {
 		t.Fatalf("tee did not fan out: a=%+v b=%+v", a, b)
 	}
 }

@@ -56,8 +56,8 @@ type Telemetry struct {
 	GCPauseNs   *Hist
 	GCPagesHist *Hist
 
-	// GC scheduler plane — preempt/resume arrive through the TapGCSched
-	// extension; the tier/pacing counters are mirrored from
+	// GC scheduler plane — preempt/resume arrive through the ftl.Tap
+	// methods; the tier/pacing counters are mirrored from
 	// ftl.GCSchedStats alongside the device counters.
 	GCPreempts      *Counter
 	GCResumes       *Counter
@@ -101,10 +101,7 @@ type Telemetry struct {
 	flight atomic.Pointer[FlightRecorder]
 }
 
-var (
-	_ ftl.Tap        = (*Telemetry)(nil)
-	_ ftl.TapGCSched = (*Telemetry)(nil)
-)
+var _ ftl.Tap = (*Telemetry)(nil)
 
 // New builds a Telemetry with its full catalog registered. Instrument
 // names carry the ssdsim_ prefix; latency units are simulated nanoseconds.
@@ -220,7 +217,7 @@ func (t *Telemetry) TapGC(pause int64, pagesMoved int) {
 	}
 }
 
-// TapGCPreempt implements ftl.TapGCSched: a scheduled collection was
+// TapGCPreempt implements ftl.Tap: a scheduled collection was
 // preempted mid-victim with pagesMoved copies done so far.
 func (t *Telemetry) TapGCPreempt(now int64, pagesMoved int) {
 	if t != nil {
@@ -228,7 +225,7 @@ func (t *Telemetry) TapGCPreempt(now int64, pagesMoved int) {
 	}
 }
 
-// TapGCResume implements ftl.TapGCSched: a preempted collection picked
+// TapGCResume implements ftl.Tap: a preempted collection picked
 // back up.
 func (t *Telemetry) TapGCResume(now int64, pagesMoved int) {
 	if t != nil {

@@ -50,7 +50,7 @@ func runGCSched(spec Spec) *Divergence {
 	if err != nil {
 		return &Divergence{Spec: spec, Step: -1, Kind: "ftl", Detail: err.Error()}
 	}
-	sched.EnableGCScheduler(ftl.GCSchedConfig{Enabled: true})
+	sched.EnableGCScheduler(ftl.GCSchedConfig{})
 	ora := NewFTL(params.Planes(), params.BlocksPerPlane, params.PagesPerBlock, params.LogicalPages(), 2)
 	diverge := func(step int, kind, detail string) *Divergence {
 		return &Divergence{Spec: spec, Step: step, Kind: kind, Detail: detail}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/ssd"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -155,32 +154,5 @@ func TestIdleFlushShinesOnBurstyArrivals(t *testing.T) {
 	if withIdle >= without {
 		t.Fatalf("idle flushing did not help on bursty arrivals: %.0f vs %.0f ns",
 			withIdle, without)
-	}
-}
-
-func TestIdleGCRunsDuringGaps(t *testing.T) {
-	// A device under write pressure plus a bursty trace with idle gaps:
-	// background GC must fire during the OFF periods.
-	p := ssd.ScaledParams(64)
-	p.Precondition = 0.93
-	dev, err := ssd.New(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	profile := workload.PROJ0()
-	profile.Burstiness = 10
-	tr := workload.MustGenerate(profile, workload.Options{Scale: 0.02})
-	m, err := Run(tr, core.New(1024), dev, Options{
-		IdleFlushNs: 2_000_000,
-		IdleGC:      true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.IdleGCRuns == 0 {
-		t.Skip("no idle GC opportunities at this scale")
-	}
-	if err := dev.CheckInvariants(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -47,7 +47,7 @@ func TestReplayInvariants(t *testing.T) {
 	configs := map[string]Options{
 		"open-loop":   {},
 		"closed-loop": {QueueDepth: 4},
-		"idle-flush":  {IdleFlushNs: 1_000_000, IdleGC: true},
+		"idle-flush":  {IdleFlushNs: 1_000_000, GCBudgetNs: 30_000_000},
 		"warmup":      {WarmupRequests: 100},
 	}
 	for pname, mk := range policies {

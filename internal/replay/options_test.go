@@ -74,7 +74,7 @@ func TestOptionsValidate(t *testing.T) {
 		{"zero-value", Options{}, ""},
 		{"full-valid", Options{
 			SmallThresholdPages: 8, SeriesInterval: 500, TrackPageFates: true,
-			WarmupRequests: 100, IdleFlushNs: 1_000_000, IdleGC: true,
+			WarmupRequests: 100, IdleFlushNs: 1_000_000, GCBudgetNs: 30_000_000,
 			QueueDepth: 16, TenantBoundaries: []int64{10, 20}, CrashAtRequest: 5,
 			DestageNs: 1_000_000,
 		}, ""},
@@ -82,7 +82,6 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative-series-interval", Options{SeriesInterval: -10}, "SeriesInterval"},
 		{"negative-warmup", Options{WarmupRequests: -1}, "WarmupRequests"},
 		{"negative-idle-flush", Options{IdleFlushNs: -1}, "IdleFlushNs"},
-		{"idle-gc-without-flush", Options{IdleGC: true}, "IdleGC requires IdleFlushNs"},
 		{"negative-queue-depth", Options{QueueDepth: -2}, "QueueDepth"},
 		{"negative-backpressure", Options{BackPressureDepth: -1}, "BackPressureDepth"},
 		{"negative-crash-point", Options{CrashAtRequest: -1}, "CrashAtRequest"},

@@ -65,15 +65,11 @@ type Options struct {
 	// the idle period, as many as fit before the next arrival. Zero
 	// disables.
 	IdleFlushNs int64
-	// IdleGC additionally runs background garbage collection during those
-	// same idle windows (requires IdleFlushNs > 0), refilling free-block
-	// headroom so foreground writes stall on GC less often.
-	IdleGC bool
 	// GCBudgetNs grants the device's preemptible GC scheduler a budgeted
 	// slice per idle window (after the idle flusher drains): see
-	// sim.Config.GCBudgetNs. Requires IdleFlushNs > 0; mutually exclusive
-	// with IdleGC. A device without the scheduler enabled gets it enabled
-	// with defaults. Zero keeps the legacy greedy path bit-identical.
+	// sim.Config.GCBudgetNs. Requires IdleFlushNs > 0. A device without
+	// the scheduler enabled gets it enabled with defaults. Zero keeps
+	// plain greedy GC.
 	GCBudgetNs int64
 	// QueueDepth switches from open-loop replay (requests enter at their
 	// trace timestamps regardless of progress) to a closed loop with this
@@ -128,17 +124,11 @@ func (o *Options) Validate() error {
 	if o.IdleFlushNs < 0 {
 		return fmt.Errorf("replay: IdleFlushNs %d is negative (0 disables idle flushing)", o.IdleFlushNs)
 	}
-	if o.IdleGC && o.IdleFlushNs == 0 {
-		return fmt.Errorf("replay: IdleGC requires IdleFlushNs > 0 (idle windows are defined by the flush threshold)")
-	}
 	if o.GCBudgetNs < 0 {
 		return fmt.Errorf("replay: GCBudgetNs %d is negative (0 disables scheduled GC)", o.GCBudgetNs)
 	}
 	if o.GCBudgetNs > 0 && o.IdleFlushNs == 0 {
 		return fmt.Errorf("replay: GCBudgetNs requires IdleFlushNs > 0 (idle windows are defined by the flush threshold)")
-	}
-	if o.GCBudgetNs > 0 && o.IdleGC {
-		return fmt.Errorf("replay: GCBudgetNs and IdleGC are mutually exclusive (scheduled vs greedy idle GC)")
 	}
 	if o.QueueDepth < 0 {
 		return fmt.Errorf("replay: QueueDepth %d is negative (0 keeps the open loop)", o.QueueDepth)
@@ -236,12 +226,12 @@ type Metrics struct {
 	// the request count at that point.
 	Degraded          bool
 	DegradedAtRequest int
-	// IdleGCRuns counts background GC victim collections (Options.IdleGC,
-	// or completed scheduler collections under Options.GCBudgetNs).
+	// IdleGCRuns counts the victim collections the GC scheduler completed
+	// in idle-window slices (Options.GCBudgetNs).
 	IdleGCRuns int64
 	// GCSched snapshots the preemptible GC scheduler's counters, summed
-	// over the shards' devices (Options.GCBudgetNs or a pre-enabled
-	// device); all zero otherwise.
+	// over the shards' devices (Options.GCBudgetNs or a device whose
+	// scheduler the caller enabled); all zero otherwise.
 	GCSched ftl.GCSchedStats
 	// BackPressureStalls counts admissions delayed by the destage backlog
 	// bound (Options.BackPressureDepth); BackPressureStallNs is the total

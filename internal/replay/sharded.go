@@ -83,7 +83,6 @@ func RunSharded(src trace.Source, spec ShardSpec, opts Options) (*Metrics, error
 		Engine: sim.Config{
 			WarmupRequests: opts.WarmupRequests,
 			IdleFlushNs:    opts.IdleFlushNs,
-			IdleGC:         opts.IdleGC,
 			GCBudgetNs:     opts.GCBudgetNs,
 			QueueDepth:     opts.QueueDepth,
 			DestageNs:      opts.DestageNs,

@@ -5,10 +5,9 @@ import (
 	"repro/internal/sim"
 )
 
-// instruments is the ssdserve_* catalog registered into the attached
-// obs.Telemetry. Every field may be nil (no telemetry attached) — the obs
-// instruments are nil-safe, so call sites never guard. The plain-atomic
-// tally in Server mirrors the counters so Stats works either way.
+// instruments is the ssdserve_* catalog: registered into the attached
+// obs.Telemetry, or into a private registry without one. Stats reads the
+// counters, so they are the server's one set of outcome tallies.
 type instruments struct {
 	queueDepth *obs.Gauge
 	overload   *obs.Gauge
@@ -24,6 +23,8 @@ type instruments struct {
 	windowWaits     *obs.Counter
 	shedPages       *obs.Counter
 	drainedPages    *obs.Counter
+	gcSlices        *obs.Counter
+	gcVictims       *obs.Counter
 
 	queueWait  *obs.Hist
 	service    *obs.Hist
@@ -43,15 +44,15 @@ func (ins *instruments) observeBlame(bl *sim.Blame) {
 	}
 }
 
-// newInstruments registers the serve catalog, or returns an all-nil set
-// when no telemetry is attached. Names collide on a second registration
+// newInstruments registers the serve catalog into tel's registry, or into
+// a private one when tel is nil. Names collide on a second registration
 // into the same Telemetry: one Server per Telemetry.
 func newInstruments(tel *obs.Telemetry) *instruments {
 	ins := &instruments{}
-	if tel == nil {
-		return ins
+	r := &obs.Registry{}
+	if tel != nil {
+		r = tel.Registry()
 	}
-	r := tel.Registry()
 	ins.queueDepth = r.Gauge("ssdserve_queue_depth",
 		"Requests currently queued across all shards")
 	ins.overload = r.Gauge("ssdserve_overload_state",
@@ -78,6 +79,10 @@ func newInstruments(tel *obs.Telemetry) *instruments {
 		"Pages written around the cache by shed writes")
 	ins.drainedPages = r.Counter("ssdserve_drained_pages_total",
 		"Dirty pages destaged to flash during graceful drain")
+	ins.gcSlices = r.Counter("ssdserve_gc_slices_total",
+		"Budgeted GC slices granted to shards whose queue was empty")
+	ins.gcVictims = r.Counter("ssdserve_gc_victims_total",
+		"GC victim collections completed inside those slices")
 	ins.queueWait = r.Hist("ssdserve_queue_wait_ns",
 		"Admission wait per request in server-clock nanoseconds")
 	ins.service = r.Hist("ssdserve_service_ns",

@@ -218,16 +218,6 @@ type Config struct {
 	Now func() int64
 }
 
-// tally mirrors the outcome counters in plain atomics so Stats works with
-// or without Telemetry attached.
-type tally struct {
-	accepted, shed, rejected           atomic.Int64
-	timeoutsQueued, timeoutsService    atomic.Int64
-	readonly, drainRejected, errs      atomic.Int64
-	windowWaits, shedPages, drainedPgs atomic.Int64
-	gcSlices, gcVictims                atomic.Int64
-}
-
 // Server is the live front-end. Build with New, submit with Submit from
 // any number of goroutines, stop with Drain.
 type Server struct {
@@ -237,7 +227,6 @@ type Server struct {
 	logical int64
 	shards  []*shard
 	met     *instruments
-	tally   tally
 	fr      *obs.FlightRecorder
 
 	// lastRung tracks the overload-ladder rung for flight-recorder
@@ -456,22 +445,20 @@ func (srv *Server) noteRung() {
 	}
 }
 
-// count folds a finished response into the tallies and instruments and
-// returns it unchanged (so call sites can count-and-return in one line).
+// count folds a finished response into the instruments and returns it
+// unchanged (so call sites can count-and-return in one line).
 func (srv *Server) count(resp Response) Response {
-	t, m := &srv.tally, srv.met
+	m := srv.met
 	if resp.WindowNs > 0 {
 		m.windowWait.Observe(resp.WindowNs)
 	}
 	switch resp.Outcome {
 	case OutcomeOK:
-		t.accepted.Add(1)
 		m.accepted.Inc()
 		m.queueWait.Observe(resp.QueueNs)
 		m.service.Observe(resp.ServiceNs)
 		m.observeBlame(&resp.SimBlame)
 	case OutcomeShed:
-		t.shed.Add(1)
 		m.shed.Inc()
 		m.queueWait.Observe(resp.QueueNs)
 		m.service.Observe(resp.ServiceNs)
@@ -480,27 +467,21 @@ func (srv *Server) count(resp Response) Response {
 		// queued expiry never reached service, so only the queue-wait
 		// histogram sees it.
 		if resp.Phase == PhaseService {
-			t.timeoutsService.Add(1)
 			m.timeoutsService.Inc()
 			m.queueWait.Observe(resp.QueueNs)
 			m.service.Observe(resp.ServiceNs)
 			m.observeBlame(&resp.SimBlame)
 		} else {
-			t.timeoutsQueued.Add(1)
 			m.timeoutsQueued.Inc()
 			m.queueWait.Observe(resp.QueueNs)
 		}
 	case OutcomeRejected:
-		t.rejected.Add(1)
 		m.rejected.Inc()
 	case OutcomeReadOnly:
-		t.readonly.Add(1)
 		m.readonly.Inc()
 	case OutcomeDraining:
-		t.drainRejected.Add(1)
 		m.drainRejected.Inc()
 	case OutcomeError:
-		t.errs.Add(1)
 		m.errs.Inc()
 	}
 	if srv.fr != nil {
@@ -618,23 +599,24 @@ type Stats struct {
 // Stats snapshots the server. Safe while serving.
 func (srv *Server) Stats() Stats {
 	state, _ := srv.state()
+	m := srv.met
 	st := Stats{
 		State:           state,
 		Rung:            stateRung(state),
 		QueueDepth:      srv.depth.Load(),
-		Accepted:        srv.tally.accepted.Load(),
-		Shed:            srv.tally.shed.Load(),
-		Rejected:        srv.tally.rejected.Load(),
-		TimeoutsQueued:  srv.tally.timeoutsQueued.Load(),
-		TimeoutsService: srv.tally.timeoutsService.Load(),
-		ReadOnly:        srv.tally.readonly.Load(),
-		DrainRejected:   srv.tally.drainRejected.Load(),
-		Errors:          srv.tally.errs.Load(),
-		WindowWaits:     srv.tally.windowWaits.Load(),
-		ShedPages:       srv.tally.shedPages.Load(),
-		DrainedPages:    srv.tally.drainedPgs.Load(),
-		GCSlices:        srv.tally.gcSlices.Load(),
-		GCVictims:       srv.tally.gcVictims.Load(),
+		Accepted:        m.accepted.Value(),
+		Shed:            m.shed.Value(),
+		Rejected:        m.rejected.Value(),
+		TimeoutsQueued:  m.timeoutsQueued.Value(),
+		TimeoutsService: m.timeoutsService.Value(),
+		ReadOnly:        m.readonly.Value(),
+		DrainRejected:   m.drainRejected.Value(),
+		Errors:          m.errs.Value(),
+		WindowWaits:     m.windowWaits.Value(),
+		ShedPages:       m.shedPages.Value(),
+		DrainedPages:    m.drainedPages.Value(),
+		GCSlices:        m.gcSlices.Value(),
+		GCVictims:       m.gcVictims.Value(),
 	}
 	for _, s := range srv.shards {
 		s.mu.Lock()

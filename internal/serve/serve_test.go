@@ -2,7 +2,11 @@ package serve_test
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"runtime/pprof"
 	"strings"
 	"sync"
@@ -12,6 +16,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/leakcheck"
+	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/ssd"
@@ -372,12 +377,11 @@ func (g *gatePolicy) open() {
 	g.mu.Unlock()
 }
 
-// TestServeGCBudgetPlainDevices pins that Config.GCBudgetNs alone turns on
-// queue-empty GC: the devices are built without Params.GCSched, and the
-// shard build must enable the scheduler so the budgeted slices collect
-// victims on the nearly full devices.
-func TestServeGCBudgetPlainDevices(t *testing.T) {
-	leakcheck.Check(t)
+// gcBudgetServer serves two shards of nearly full devices built without
+// the GC scheduler, with a GC budget that fits one full collection per
+// slice, and submits 2,000 writes 40 ms apart on a fake clock.
+func gcBudgetServer(t *testing.T, tel *obs.Telemetry) *serve.Server {
+	t.Helper()
 	clock := &fakeClock{}
 	srv, err := serve.New(serve.Config{
 		Shards: 2, Sharing: sim.SharingShared, TotalCapacityPages: 256,
@@ -392,23 +396,68 @@ func TestServeGCBudgetPlainDevices(t *testing.T) {
 			p.Precondition = 0.9
 			return ssd.New(p)
 		},
-		Now: clock.Now,
+		Now:       clock.Now,
+		Telemetry: tel,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
 	for i := 0; i < 2000; i++ {
 		clock.Advance(int64(40 * time.Millisecond))
 		lpn := int64(i*7919) % 100_000
 		if _, err := srv.Submit(serve.Op{Write: true, LPN: lpn, Pages: 4}); err != nil {
+			srv.Close()
 			t.Fatal(err)
 		}
 	}
+	return srv
+}
+
+// TestServeGCBudgetPlainDevices pins that Config.GCBudgetNs alone turns on
+// queue-empty GC: the devices are built without the scheduler, and the
+// shard build must enable it so the budgeted slices collect victims on
+// the nearly full devices.
+func TestServeGCBudgetPlainDevices(t *testing.T) {
+	leakcheck.Check(t)
+	srv := gcBudgetServer(t, nil)
+	defer srv.Close()
 	st := srv.Stats()
 	t.Logf("gc slices %d, victims %d", st.GCSlices, st.GCVictims)
 	if st.GCSlices == 0 || st.GCVictims == 0 {
 		t.Fatalf("GC budget over plain devices: %d slices, %d victims, want both > 0",
 			st.GCSlices, st.GCVictims)
+	}
+}
+
+// TestServeGCCountersOnMetrics: the GC slices and victims Stats reports
+// are the ssdserve_gc_* counters /metrics serves. An idle shard grants a
+// slice after its last response, so both are read after the drain.
+func TestServeGCCountersOnMetrics(t *testing.T) {
+	leakcheck.Check(t)
+	tel := obs.New()
+	srv := gcBudgetServer(t, tel)
+	srv.Drain()
+	ts := httptest.NewServer(srv.HTTPHandler(tel.Handler()))
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := srv.Stats()
+	if st.GCSlices == 0 || st.GCVictims == 0 {
+		t.Fatalf("%d GC slices, %d victims, want both > 0", st.GCSlices, st.GCVictims)
+	}
+	for _, want := range []string{
+		fmt.Sprintf("ssdserve_gc_slices_total %d\n", st.GCSlices),
+		fmt.Sprintf("ssdserve_gc_victims_total %d\n", st.GCVictims),
+	} {
+		if !strings.Contains(string(body), want) {
+			t.Errorf("/metrics lacks %q", want)
+		}
 	}
 }

@@ -120,7 +120,6 @@ func (s *shard) tryReserve(pages int64) bool {
 // service.
 func (s *shard) waitWindow(w *work) (Response, bool) {
 	srv := s.srv
-	srv.tally.windowWaits.Add(1)
 	srv.met.windowWaits.Inc()
 	limit := w.deadline
 	if c := w.submitted + srv.cfg.MaxWaitNs; c < limit {
@@ -339,10 +338,8 @@ func (ls *liveSource) Next() (trace.Request, bool) {
 func (s *shard) scheduleGC(budgetNs int64) {
 	t := s.issueTime()
 	n := s.dev.ScheduleGC(t, budgetNs)
-	s.srv.tally.gcSlices.Add(1)
-	if n > 0 {
-		s.srv.tally.gcVictims.Add(int64(n))
-	}
+	s.srv.met.gcSlices.Inc()
+	s.srv.met.gcVictims.Add(int64(n))
 }
 
 // bypassFlush is ladder rung 1 executed: the shed write streams straight
@@ -369,7 +366,6 @@ func (s *shard) bypassFlush(w *work) {
 	if bt.Transferred > s.simNow.Load() {
 		s.simNow.Store(bt.Transferred)
 	}
-	s.srv.tally.shedPages.Add(int64(len(lpns)))
 	s.srv.met.shedPages.Add(int64(len(lpns)))
 	now := s.srv.now()
 	s.respond(w, Response{
@@ -534,6 +530,5 @@ func (s *shard) destageDrain() {
 		s.drained += int64(len(ev.LPNs))
 		t = bt.Transferred
 	}
-	s.srv.tally.drainedPgs.Add(s.drained)
 	s.srv.met.drainedPages.Add(s.drained)
 }

@@ -45,16 +45,12 @@ type Config struct {
 	// during arrival gaps of at least this many nanoseconds. Zero
 	// disables.
 	IdleFlushNs int64
-	// IdleGC additionally runs one background GC collection per idle
-	// window (requires IdleFlushNs > 0).
-	IdleGC bool
 	// GCBudgetNs, when positive, grants the device's preemptible GC
-	// scheduler a budgeted slice in each idle window instead of the
-	// IdleGC whole-victim collection: the idle flusher drains dirty data
-	// first, then the remainder of the window (capped at this budget) goes
-	// to ssd.Device.ScheduleGC. Requires IdleFlushNs > 0 and a device with
-	// the scheduler enabled; mutually exclusive with IdleGC. Zero keeps
-	// the legacy path bit-identical.
+	// scheduler a budgeted slice in each idle window: the idle flusher
+	// drains dirty data first, then the remainder of the window (capped at
+	// this budget) goes to ssd.Device.ScheduleGC. Requires IdleFlushNs > 0
+	// and a device with the scheduler enabled (BuildShards enables it).
+	// Zero leaves idle windows to the flusher alone.
 	GCBudgetNs int64
 	// QueueDepth switches from open-loop to closed-loop issue: request i
 	// issues at max(arrival_i, completion_{i-QueueDepth}). Zero keeps the
@@ -226,14 +222,9 @@ func (e *Engine) Run() (DoneEvent, error) {
 		}
 		done.LastArrival = req.Time
 
-		// Idle stage: background GC and proactive eviction in the arrival
-		// gap before this request, then any pending destage ticks.
-		if e.cfg.GCBudgetNs > 0 && e.cfg.IdleFlushNs > 0 && i > 0 &&
-			req.Time-prevArrival >= e.cfg.IdleFlushNs {
-			// Scheduled mode: the idle flusher drains dirty data first, then
-			// the rest of the window — capped at the configured budget — is
-			// granted to the preemptible GC scheduler, which preempts itself
-			// cleanly before the next arrival.
+		// Idle stage: proactive eviction in the arrival gap before this
+		// request, then a GC slice, then any pending destage ticks.
+		if e.cfg.IdleFlushNs > 0 && i > 0 {
 			idleAt := prevArrival
 			if e.idler != nil {
 				var err error
@@ -241,25 +232,12 @@ func (e *Engine) Run() (DoneEvent, error) {
 					return done, err
 				}
 			}
-			if !e.stopped {
+			if e.cfg.GCBudgetNs > 0 && !e.stopped && req.Time-prevArrival >= e.cfg.IdleFlushNs {
+				// The rest of the window, capped at the budget, goes to the
+				// preemptible GC scheduler, which preempts itself cleanly
+				// before the next arrival.
 				budget := min(e.cfg.GCBudgetNs, req.Time-idleAt)
-				if n := e.dev.ScheduleGC(idleAt, budget); n > 0 {
-					e.idleGCRuns += int64(n)
-				}
-			}
-		} else {
-			if e.cfg.IdleFlushNs > 0 && e.cfg.IdleGC && i > 0 &&
-				req.Time-prevArrival >= e.cfg.IdleFlushNs {
-				// One block collection per idle window keeps background GC
-				// from monopolizing the dies right before the next burst.
-				if n := e.dev.BackgroundGC(prevArrival, 1); n > 0 {
-					e.idleGCRuns += int64(n)
-				}
-			}
-			if e.cfg.IdleFlushNs > 0 && e.idler != nil && i > 0 {
-				if _, err := e.idleFlush(prevArrival, req.Time); err != nil {
-					return done, err
-				}
+				e.idleGCRuns += int64(e.dev.ScheduleGC(idleAt, budget))
 			}
 		}
 		if e.cfg.DestageNs > 0 && e.idler != nil && !e.stopped {

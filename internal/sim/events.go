@@ -126,8 +126,8 @@ type DoneEvent struct {
 	DegradedAtRequest int
 	// Stopped is true when an observer ended the run early via Stop.
 	Stopped bool
-	// IdleGCRuns counts background-GC block collections triggered during
-	// idle windows (Config.IdleGC).
+	// IdleGCRuns counts the victim collections the GC scheduler completed
+	// in idle-window slices (Config.GCBudgetNs).
 	IdleGCRuns int64
 }
 

@@ -237,11 +237,22 @@ func TestShardedPullBoundWhileShardBlocks(t *testing.T) {
 // TestShardedGoroutinesCarryProfileLabels parks a two-shard replay in
 // shard 1's observer and reads a goroutine profile: the router, both
 // shard engines and the read-ahead filler must each show their labels.
+// A shard goroutine carries the router's labels until its own prof.Do
+// runs, so the profile is read only once shard 0 has produced a result
+// too.
 func TestShardedGoroutinesCarryProfileLabels(t *testing.T) {
 	leakcheck.Check(t)
 	cfg, logical := twoShards(t)
 	parked, release := make(chan struct{}), make(chan struct{})
 	parkShard1(&cfg, parked, release)
+	park, ran0 := cfg.ShardObservers, make(chan struct{})
+	var once sync.Once
+	cfg.ShardObservers = func(k int, e *Engine) []Observer {
+		if k != 0 {
+			return park(k, e)
+		}
+		return []Observer{shardHook{f: func(*ResultEvent) { once.Do(func() { close(ran0) }) }}}
+	}
 	eng, err := NewSharded((&trace.Trace{Name: "labels", Requests: alternating(40_000, logical)}).Source(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -252,6 +263,7 @@ func TestShardedGoroutinesCarryProfileLabels(t *testing.T) {
 		errc <- err
 	}()
 	<-parked
+	<-ran0
 	var buf bytes.Buffer
 	err = pprof.Lookup("goroutine").WriteTo(&buf, 1)
 	close(release)

@@ -556,7 +556,7 @@ func BuildShards(cfg ShardConfig) ([]Shard, error) {
 			dev.SetBackPressure(cfg.BackPressureDepth)
 		}
 		if cfg.Engine.GCBudgetNs > 0 && !dev.GCSchedEnabled() {
-			dev.EnableGCScheduler(ftl.GCSchedConfig{Enabled: true})
+			dev.EnableGCScheduler(ftl.GCSchedConfig{})
 		}
 		ecfg := cfg.Engine
 		// A lone shard holds the whole capacity: no quota to enforce.

@@ -28,11 +28,6 @@ type Params struct {
 	// fault-free build. The injector attaches after preconditioning, so
 	// scripted operation ordinals count replay operations only.
 	Faults fault.Config
-	// GCSched configures the preemptible GC scheduler (internal/ftl
-	// gcsched.go). The zero value keeps plain greedy GC, bit-identical to a
-	// device without the scheduler. Enabled after preconditioning, so the
-	// fill phase never paces.
-	GCSched ftl.GCSchedConfig
 }
 
 // DefaultParams mirrors the paper's setup: Table 1 flash parameters, a
@@ -136,9 +131,6 @@ func New(p Params) (*Device, error) {
 		}
 	}
 	d := &Device{p: p, f: f}
-	if p.GCSched.Enabled {
-		f.EnableGCScheduler(p.GCSched)
-	}
 	if p.Faults.Enabled() {
 		inj, err := fault.NewInjector(p.Faults)
 		if err != nil {
@@ -313,18 +305,10 @@ func (d *Device) Counters() Counters {
 	return c
 }
 
-// BackgroundGC runs opportunistic garbage collection during an idle
-// window (up to maxVictims block collections), refilling free-block
-// headroom before foreground writes would stall on it. Returns the victim
-// count.
-func (d *Device) BackgroundGC(now int64, maxVictims int) int {
-	soft := int(float64(d.p.Flash.BlocksPerPlane)*d.p.Flash.GCThreshold) * 2
-	return d.f.BackgroundGC(now, maxVictims, soft)
-}
-
 // EnableGCScheduler turns on (or reconfigures) the preemptible GC
-// scheduler after construction — the budgeted evolution of BackgroundGC.
-// Devices built with Params.GCSched.Enabled need no explicit call.
+// scheduler (internal/ftl gcsched.go); a device that never calls it keeps
+// plain greedy GC. sim.BuildShards calls it for a positive GC budget, so
+// a caller needs it only to choose a non-default config.
 func (d *Device) EnableGCScheduler(cfg ftl.GCSchedConfig) {
 	d.f.EnableGCScheduler(cfg)
 }
@@ -342,10 +326,6 @@ func (d *Device) ScheduleGC(now, budgetNs int64) int {
 // GCSchedStats returns the scheduler's cumulative counters (all zero when
 // the scheduler is disabled).
 func (d *Device) GCSchedStats() ftl.GCSchedStats { return d.f.GCSchedStats() }
-
-// GCJobInFlight reports whether a preempted GC victim collection is
-// pending resume.
-func (d *Device) GCJobInFlight() bool { return d.f.GCJobInFlight() }
 
 // FlushOnChannel writes a batch onto one channel's planes (ECR's
 // channel-affine flush); see FlushStriped for the timing semantics.
