@@ -121,6 +121,8 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzPageIndex$$' -fuzztime 10s ./internal/cache
 	go test -run '^$$' -fuzz '^FuzzReqBlockOps$$' -fuzztime 10s ./internal/core
 	go test -run '^$$' -fuzz '^FuzzHTTPHandler$$' -fuzztime 10s ./internal/serve
+	go test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime 10s ./internal/serve
+	go test -run '^$$' -fuzz '^FuzzOpQuery$$' -fuzztime 10s ./internal/serve
 
 # ssdcheck-quick is the CI differential gate: 64 seeds of randomized
 # workloads per policy replayed through the fast implementations and the

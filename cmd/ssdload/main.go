@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"net/http"
 	"os"
 	"strconv"
 	"strings"
@@ -73,7 +74,7 @@ func main() {
 	var sub load.Submitter
 	switch {
 	case *target != "":
-		sub = &serve.Client{Base: strings.TrimRight(*target, "/")}
+		sub = targetClient(*target, *maxOut)
 	case *inproc:
 		params := ssd.ScaledParams(*divisor)
 		tel := obs.New()
@@ -133,6 +134,17 @@ func main() {
 		fail(err)
 	}
 	fmt.Print(res.Format())
+}
+
+// targetClient drives the ssdserve at base over keep-alive connections,
+// keeping up to maxOut of them idle between ops. http.DefaultClient keeps
+// two per host, so with more ops in flight most would dial a fresh
+// connection and leave the old one in TIME_WAIT.
+func targetClient(base string, maxOut int) *serve.Client {
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConns = maxOut
+	tr.MaxIdleConnsPerHost = maxOut
+	return &serve.Client{Base: strings.TrimRight(base, "/"), HTTP: &http.Client{Transport: tr}}
 }
 
 // parseRamp parses "0.25,1,4" into multipliers.

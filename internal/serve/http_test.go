@@ -223,3 +223,45 @@ func TestStatsExposeRungAndQueueDepth(t *testing.T) {
 	}
 	srv.Drain()
 }
+
+// BenchmarkHTTPSubmit times one op through serve.Client over one
+// loopback keep-alive connection to an httptest server, beside the same
+// op submitted in process, so the HTTP edge's cost per op is the
+// difference between the two. Ops are 4 pages, one write in four. It is a
+// measuring tool with no baseline:
+//
+//	go test -run '^$' -bench HTTPSubmit -benchmem ./internal/serve
+func BenchmarkHTTPSubmit(b *testing.B) {
+	srv, err := serve.New(serve.Config{
+		Shards: 1, TotalCapacityPages: 256,
+		DefaultDeadlineNs: int64(time.Minute),
+		NewPolicy:         lruPolicy, NewDevice: testDevice,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Drain()
+	ts := httptest.NewServer(srv.HTTPHandler(nil))
+	defer ts.Close()
+	tr := &http.Transport{MaxConnsPerHost: 1, MaxIdleConnsPerHost: 1}
+	defer tr.CloseIdleConnections()
+	for _, s := range []struct {
+		name string
+		sub  interface {
+			Submit(serve.Op) (serve.Response, error)
+		}
+	}{
+		{"inproc", srv},
+		{"http", &serve.Client{Base: ts.URL, HTTP: &http.Client{Transport: tr}}},
+	} {
+		b.Run(s.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				op := serve.Op{Write: i%4 == 0, LPN: int64(i%512) * 4, Pages: 4}
+				if r, err := s.sub.Submit(op); err != nil || r.Outcome != serve.OutcomeOK {
+					b.Fatalf("op %d: %v / %v", i, r.Outcome, err)
+				}
+			}
+		})
+	}
+}

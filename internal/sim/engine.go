@@ -83,7 +83,6 @@ type Engine struct {
 	resEv ResultEvent
 	evEv  EvictionEvent
 	res   cache.Result
-	blame Blame // per-request attribution, reset at each processRequest
 
 	idler     cache.IdleEvictor
 	scanRep   cache.VictimScanReporter
@@ -416,10 +415,14 @@ func (e *Engine) processRequest(i int, req trace.Request, pageSize int64) error 
 	// Blame attribution: each phase boundary charges its delta of the
 	// running completion time to one cause, so the entries sum exactly to
 	// Completion - Arrival. Dispatch charges Evict/Bypass/Read itself.
-	e.blame = Blame{}
-	e.blame.Ns[BlameQueue] = issue - req.Time
-	e.blame.Ns[BlameStall] = now - issue
-	e.blame.Ns[BlameCache] = completion - now
+	// The attribution accumulates in place in resEv, whose remaining
+	// fields are set one by one once the request completes: assigning a
+	// whole ResultEvent would copy it per request.
+	bl := &e.resEv.Blame
+	*bl = Blame{}
+	bl.Ns[BlameQueue] = issue - req.Time
+	bl.Ns[BlameStall] = now - issue
+	bl.Ns[BlameCache] = completion - now
 	gc0 := e.dev.GCPauseNs()
 	var scan0 int64
 	if e.scanRep != nil {
@@ -430,9 +433,9 @@ func (e *Engine) processRequest(i int, req trace.Request, pageSize int64) error 
 	if err != nil || e.stopped {
 		return err
 	}
-	e.blame.GCPauseNs = e.dev.GCPauseNs() - gc0
+	bl.GCPauseNs = e.dev.GCPauseNs() - gc0
 	if e.scanRep != nil {
-		e.blame.ScanCost = e.scanRep.VictimScanCost() - scan0
+		bl.ScanCost = e.scanRep.VictimScanCost() - scan0
 	}
 
 	if e.window != nil {
@@ -440,12 +443,10 @@ func (e *Engine) processRequest(i int, req trace.Request, pageSize int64) error 
 		e.windowPos = (e.windowPos + 1) % len(e.window)
 	}
 	e.processed++
-	e.resEv = ResultEvent{
-		Req: &e.reqEv, Res: &e.res,
-		Completion: completion, Prefetched: prefetched,
-		Processed: e.processed, NodeCount: e.pol.NodeCount(),
-		Blame: e.blame,
-	}
+	ev := &e.resEv
+	ev.Req, ev.Res = &e.reqEv, &e.res
+	ev.Completion, ev.Prefetched = completion, prefetched
+	ev.Processed, ev.NodeCount = e.processed, e.pol.NodeCount()
 	for _, o := range e.obs {
 		o.OnResult(e, &e.resEv)
 	}
@@ -528,7 +529,7 @@ func (e *Engine) dispatch(now, completion int64) (int64, int, error) {
 			completion = bt.Transferred
 		}
 	}
-	e.blame.Ns[BlameEvict] += completion - mark
+	e.resEv.Blame.Ns[BlameEvict] += completion - mark
 
 	// Bypassed large-write pages stream straight to flash; the request
 	// blocks on their transfers like an eviction flush.
@@ -546,7 +547,7 @@ func (e *Engine) dispatch(now, completion int64) (int64, int, error) {
 			completion = bt.Transferred
 		}
 	}
-	e.blame.Ns[BlameBypass] += completion - mark
+	e.resEv.Blame.Ns[BlameBypass] += completion - mark
 
 	// Read misses fetch from flash.
 	mark = completion
@@ -559,7 +560,7 @@ func (e *Engine) dispatch(now, completion int64) (int64, int, error) {
 			completion = done
 		}
 	}
-	e.blame.Ns[BlameRead] += completion - mark
+	e.resEv.Blame.Ns[BlameRead] += completion - mark
 
 	// Background prefetches load the device but never block the
 	// triggering request. Readahead past the end of the logical space is
