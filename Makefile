@@ -123,6 +123,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzHTTPHandler$$' -fuzztime 10s ./internal/serve
 	go test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime 10s ./internal/serve
 	go test -run '^$$' -fuzz '^FuzzOpQuery$$' -fuzztime 10s ./internal/serve
+	go test -run '^$$' -fuzz '^FuzzSubmitBounds$$' -fuzztime 10s ./internal/serve
 
 # ssdcheck-quick is the CI differential gate: 64 seeds of randomized
 # workloads per policy replayed through the fast implementations and the
@@ -136,11 +137,15 @@ ssdcheck-quick:
 # ssdcheck-nightly is the scheduled randomized campaign: fresh seed
 # ranges for a fixed wall-clock budget, minimized repros saved for
 # upload, then the same treatment for the scheduled-vs-greedy GC
-# differential (budgeted idle slices against the stamped oracle FTL).
+# differential (budgeted idle slices against the stamped oracle FTL) and
+# for the heap-indexed policies against their paper-literal oracles
+# (FAB, LFU, PUD-LRU over wide address ranges): 10 + 5 + 5 minutes.
 ssdcheck-nightly:
 	go run ./cmd/ssdcheck -duration 10m -seeds 512 -requests 384 -v \
 		-repro-dir internal/oracle/testdata/failures
 	go run ./cmd/ssdcheck -gcsched -duration 5m -seeds 512 -requests 384 -v \
+		-repro-dir internal/oracle/testdata/failures
+	go run ./cmd/ssdcheck -vindex -duration 5m -seeds 512 -requests 512 -v \
 		-repro-dir internal/oracle/testdata/failures
 
 bench:

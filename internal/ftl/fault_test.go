@@ -129,8 +129,8 @@ func TestEraseFailuresRetireBlocksAndDegrade(t *testing.T) {
 	if inj.Stats().EraseFails == 0 {
 		t.Fatal("no erase failures recorded")
 	}
-	if f.Array().BadBlocks() != f.RetiredBlocks() {
-		t.Fatalf("array bad blocks %d != ftl retired %d", f.Array().BadBlocks(), f.RetiredBlocks())
+	if int64(f.Array().BadBlocks()) != st.RetiredBlocks {
+		t.Fatalf("array bad blocks %d != ftl retired %d", f.Array().BadBlocks(), st.RetiredBlocks)
 	}
 	// Reads of surviving mappings still work in read-only mode.
 	for lpn := int64(0); lpn < 16; lpn++ {

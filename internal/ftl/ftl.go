@@ -19,13 +19,27 @@ package ftl
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/fault"
 	"repro/internal/flash"
 )
 
-// unmapped marks an absent translation.
-const unmapped = int32(-1)
+// A translation entry holds its target plus one, so the zero entry means
+// unmapped: a fresh FTL's tables need no fill, and the OS backs only the
+// pages Precondition and later writes touch. Call sites convert through
+// entry and target and never do the arithmetic themselves.
+const unmapped = int32(0)
+
+// entry encodes a target, an LPN or a PPN, as a translation entry.
+func entry(target int64) int32 { return int32(target + 1) }
+
+// target decodes a mapped translation entry.
+func target(e int32) int64 { return int64(e) - 1 }
+
+// maxPages is the largest physical page count the translation tables
+// address: an entry holds its target plus one in an int32.
+const maxPages = math.MaxInt32
 
 // Stats aggregates the FTL's activity counters.
 type Stats struct {
@@ -99,8 +113,8 @@ type FTL struct {
 	arr *flash.Array
 	tl  *flash.Timeline
 
-	mapping []int32 // LPN -> PPN (int32 is sufficient: < 2^31 pages)
-	reverse []int32 // PPN -> LPN, needed to remap pages during GC
+	mapping []int32 // LPN -> entry(PPN); newFTL bounds the pages to maxPages
+	reverse []int32 // PPN -> entry(LPN), needed to remap pages during GC
 
 	freeBlocks  [][]int32   // per plane: stack of erased blocks
 	wear        []wearIndex // per plane: where the least-worn free blocks are
@@ -120,7 +134,6 @@ type FTL struct {
 	// Fault plane (all zero/nil on a fault-free device).
 	retryLimit    int            // program retries per logical page write
 	reserveBudget int            // retirements tolerated before read-only
-	retired       int            // blocks retired so far
 	degraded      bool           // read-only mode
 	checker       *fault.Checker // invariant checker, run after recoveries
 	pendingCheck  bool           // a recovery happened in the current op
@@ -171,19 +184,24 @@ func NewConfigFull(p flash.Params, wearLevel, separateGC bool) (*FTL, error) {
 }
 
 func newFTL(p flash.Params) (*FTL, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	if n := p.PhysicalPages(); n > maxPages {
+		return nil, fmt.Errorf("ftl: %d physical pages, more than the %d that int32 translation entries address",
+			n, maxPages)
+	}
 	arr, err := flash.NewArray(p)
 	if err != nil {
 		return nil, err
 	}
 	f := &FTL{
-		p:   p,
-		arr: arr,
-		tl:  flash.NewTimeline(p),
+		p:       p,
+		arr:     arr,
+		tl:      flash.NewTimeline(p),
+		mapping: make([]int32, p.LogicalPages()),
+		reverse: make([]int32, p.PhysicalPages()),
 	}
-	f.mapping = make([]int32, p.LogicalPages())
-	fillUnmapped(f.mapping)
-	f.reverse = make([]int32, p.PhysicalPages())
-	fillUnmapped(f.reverse)
 	planes := p.Planes()
 	f.freeBlocks = make([][]int32, planes)
 	f.wear = make([]wearIndex, planes)
@@ -221,18 +239,6 @@ func newFTL(p flash.Params) (*FTL, error) {
 		f.gcLow = 1
 	}
 	return f, nil
-}
-
-// fillUnmapped sets every entry of a translation table to unmapped,
-// doubling the filled prefix with each copy.
-func fillUnmapped(t []int32) {
-	if len(t) == 0 {
-		return
-	}
-	t[0] = unmapped
-	for n := 1; n < len(t); n *= 2 {
-		copy(t[n:], t[:n])
-	}
 }
 
 // Params returns the device geometry.
@@ -302,9 +308,6 @@ func (f *FTL) SetChecker(c *fault.Checker) { f.checker = c }
 // Degraded reports whether the device has entered read-only mode.
 func (f *FTL) Degraded() bool { return f.degraded }
 
-// RetiredBlocks returns how many blocks have been retired.
-func (f *FTL) RetiredBlocks() int { return f.retired }
-
 // ForceDegrade trips read-only mode directly, without exhausting the
 // reserve budget: every subsequent write path returns fault.ErrReadOnly
 // while reads keep working. The service layer uses it as an operational
@@ -323,9 +326,8 @@ func (f *FTL) ForceDegrade() {
 func (f *FTL) retireBlock(block int) {
 	_ = block
 	f.stats.RetiredBlocks++
-	f.retired++
 	f.pendingCheck = true
-	if !f.degraded && f.retired > f.reserveBudget {
+	if !f.degraded && f.stats.RetiredBlocks > int64(f.reserveBudget) {
 		f.degraded = true
 		f.stats.DegradedEntries++
 	}
@@ -576,13 +578,14 @@ func (f *FTL) writeOne(now int64, lpn int64, plane int) (int64, int64, error) {
 		return 0, 0, err
 	}
 	if old := f.mapping[lpn]; old != unmapped {
-		if err := f.arr.Invalidate(int64(old)); err != nil {
+		oldPPN := target(old)
+		if err := f.arr.Invalidate(oldPPN); err != nil {
 			return 0, 0, err
 		}
-		f.reverse[old] = unmapped
+		f.reverse[oldPPN] = unmapped
 	}
-	f.mapping[lpn] = int32(ppn)
-	f.reverse[ppn] = int32(lpn)
+	f.mapping[lpn] = entry(ppn)
+	f.reverse[ppn] = entry(lpn)
 	xfer, done := f.tl.Program(now, f.channel[plane], f.chip[plane])
 	f.stats.HostPrograms++
 	if f.tap != nil {
@@ -686,8 +689,9 @@ func (f *FTL) Read(now int64, lpns []int64) (int64, error) {
 			return 0, err
 		}
 		var plane int
-		if ppn := f.mapping[lpn]; ppn != unmapped {
-			if err := f.arr.Read(int64(ppn)); err != nil {
+		if e := f.mapping[lpn]; e != unmapped {
+			ppn := target(e)
+			if err := f.arr.Read(ppn); err != nil {
 				return 0, err
 			}
 			plane = int(ppn) / pagesPerPlane
@@ -715,11 +719,12 @@ func (f *FTL) Trim(lpns []int64) error {
 		if err := f.checkLPN(lpn); err != nil {
 			return err
 		}
-		ppn := f.mapping[lpn]
-		if ppn == unmapped {
+		e := f.mapping[lpn]
+		if e == unmapped {
 			continue
 		}
-		if err := f.arr.Invalidate(int64(ppn)); err != nil {
+		ppn := target(e)
+		if err := f.arr.Invalidate(ppn); err != nil {
 			return err
 		}
 		f.mapping[lpn] = unmapped
@@ -769,8 +774,8 @@ func (f *FTL) Precondition(fraction float64) error {
 			f.activeBlock[plane] = block
 			c.next, c.end = ppn, ppn+run
 		}
-		f.mapping[lpn] = int32(c.next)
-		f.reverse[c.next] = int32(lpn)
+		f.mapping[lpn] = entry(c.next)
+		f.reverse[c.next] = entry(lpn)
 		c.next++
 		if k++; k == len(cur) {
 			k = 0
@@ -854,7 +859,7 @@ func (f *FTL) gcOnce(now int64, plane int) bool {
 		if f.arr.State(ppn) != flash.PageValid {
 			continue
 		}
-		lpn := f.reverse[ppn]
+		lpn := target(f.reverse[ppn])
 		newPPN, tgt, _, err := f.allocPage(now, plane, false)
 		if err != nil {
 			return false
@@ -863,8 +868,8 @@ func (f *FTL) gcOnce(now int64, plane int) bool {
 			panic(fmt.Sprintf("ftl: gc invalidate: %v", err))
 		}
 		f.reverse[ppn] = unmapped
-		f.mapping[lpn] = int32(newPPN)
-		f.reverse[newPPN] = lpn
+		f.mapping[lpn] = entry(newPPN)
+		f.reverse[newPPN] = entry(lpn)
 		if tgtChip := f.chip[tgt]; tgtChip == chip {
 			// Same chip: in-place copyback, no channel traffic.
 			f.tl.Copyback(now, chip)
@@ -911,9 +916,6 @@ func (f *FTL) gcOnce(now int64, plane int) bool {
 	return true
 }
 
-// FreeBlocks returns the current free-block count of a plane (tests).
-func (f *FTL) FreeBlocks(plane int) int { return len(f.freeBlocks[plane]) }
-
 // CheckInvariants validates mapping/reverse consistency, the array's
 // physical invariants, the retirement rules (no LPN maps into a retired
 // block, the free lists hold only healthy erased blocks), and the
@@ -923,34 +925,31 @@ func (f *FTL) CheckInvariants() error {
 	if err := f.arr.CheckInvariants(); err != nil {
 		return err
 	}
-	for lpn, ppn := range f.mapping {
-		if ppn == unmapped {
+	var mapped int64
+	for lpn, e := range f.mapping {
+		if e == unmapped {
 			continue
 		}
-		if f.arr.State(int64(ppn)) != flash.PageValid {
+		mapped++
+		ppn := target(e)
+		if f.arr.State(ppn) != flash.PageValid {
 			return fmt.Errorf("ftl: lpn %d maps to non-valid ppn %d", lpn, ppn)
 		}
-		if f.arr.IsBad(f.p.BlockOfPPN(int64(ppn))) {
-			return fmt.Errorf("ftl: lpn %d maps into retired block %d", lpn, f.p.BlockOfPPN(int64(ppn)))
+		if f.arr.IsBad(f.p.BlockOfPPN(ppn)) {
+			return fmt.Errorf("ftl: lpn %d maps into retired block %d", lpn, f.p.BlockOfPPN(ppn))
 		}
-		if f.reverse[ppn] != int32(lpn) {
-			return fmt.Errorf("ftl: reverse[%d] = %d, want %d", ppn, f.reverse[ppn], lpn)
+		if f.reverse[ppn] != entry(int64(lpn)) {
+			return fmt.Errorf("ftl: reverse[%d] maps to lpn %d, want %d", ppn, target(f.reverse[ppn]), lpn)
 		}
 	}
 	var valid int64
-	for ppn, lpn := range f.reverse {
-		if lpn == unmapped {
+	for ppn, e := range f.reverse {
+		if e == unmapped {
 			continue
 		}
 		valid++
-		if f.mapping[lpn] != int32(ppn) {
-			return fmt.Errorf("ftl: mapping[%d] = %d, want %d", lpn, f.mapping[lpn], ppn)
-		}
-	}
-	var mapped int64
-	for _, ppn := range f.mapping {
-		if ppn != unmapped {
-			mapped++
+		if lpn := target(e); f.mapping[lpn] != entry(int64(ppn)) {
+			return fmt.Errorf("ftl: mapping[%d] maps to ppn %d, want %d", lpn, target(f.mapping[lpn]), ppn)
 		}
 	}
 	if mapped != valid {
@@ -993,8 +992,8 @@ func (f *FTL) CheckInvariants() error {
 				pl, physical, reachable)
 		}
 	}
-	if f.arr.BadBlocks() != f.retired {
-		return fmt.Errorf("ftl: array reports %d retired blocks, ftl accounted %d", f.arr.BadBlocks(), f.retired)
+	if int64(f.arr.BadBlocks()) != f.stats.RetiredBlocks {
+		return fmt.Errorf("ftl: array reports %d retired blocks, ftl accounted %d", f.arr.BadBlocks(), f.stats.RetiredBlocks)
 	}
 	// An in-flight scheduled GC job must own a legal victim: full (so it is
 	// invisible to the allocator), healthy, and not an open frontier.

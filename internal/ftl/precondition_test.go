@@ -22,13 +22,14 @@ func preconditionPerPage(f *FTL, fraction float64) error {
 			return fmt.Errorf("ftl: precondition at lpn %d: %w", lpn, err)
 		}
 		if old := f.mapping[lpn]; old != unmapped {
-			if err := f.arr.Invalidate(int64(old)); err != nil {
+			oldPPN := target(old)
+			if err := f.arr.Invalidate(oldPPN); err != nil {
 				return err
 			}
-			f.reverse[old] = unmapped
+			f.reverse[oldPPN] = unmapped
 		}
-		f.mapping[lpn] = int32(ppn)
-		f.reverse[ppn] = int32(lpn)
+		f.mapping[lpn] = entry(ppn)
+		f.reverse[ppn] = entry(lpn)
 	}
 	return nil
 }
@@ -98,6 +99,37 @@ func TestPreconditionMatchesPerPageFill(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestFreshTablesStayZero pins the translation encoding: the zero entry is
+// unmapped, so a fresh FTL's tables hold nothing but zeros, and a fill
+// writes only the entries of the pages it maps.
+func TestFreshTablesStayZero(t *testing.T) {
+	f := mustNew(t, fillGeometries()["scaled256"])
+	for lpn, e := range f.mapping {
+		if e != 0 || f.Mapped(int64(lpn)) {
+			t.Fatalf("fresh mapping[%d] = %d", lpn, e)
+		}
+	}
+	for ppn, e := range f.reverse {
+		if e != 0 {
+			t.Fatalf("fresh reverse[%d] = %d", ppn, e)
+		}
+	}
+	if err := f.Precondition(0.5); err != nil {
+		t.Fatal(err)
+	}
+	n := int64(float64(f.LogicalPages()) * 0.5)
+	for lpn := int64(0); lpn < f.LogicalPages(); lpn++ {
+		if filled := lpn < n; f.Mapped(lpn) != filled || (!filled && f.mapping[lpn] != 0) {
+			t.Fatalf("after a fill of %d pages: mapping[%d] = %d", n, lpn, f.mapping[lpn])
+		}
+	}
+	for ppn, e := range f.reverse {
+		if f.arr.State(int64(ppn)) == flash.PageFree && e != 0 {
+			t.Fatalf("after the fill: unprogrammed reverse[%d] = %d", ppn, e)
 		}
 	}
 }

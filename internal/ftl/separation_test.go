@@ -91,13 +91,13 @@ func TestSeparationKeepsStreamsInDistinctBlocks(t *testing.T) {
 		}
 		for pl := range f.activeBlock {
 			a, g := f.activeBlock[pl], f.gcActive[pl]
-			if a < 0 || g < 0 || f.FreeBlocks(pl) <= 1 {
+			if a < 0 || g < 0 || len(f.freeBlocks[pl]) <= 1 {
 				continue
 			}
 			both++
 			if a == g {
 				t.Fatalf("write %d, plane %d with %d free blocks: host and GC streams share block %d",
-					i, pl, f.FreeBlocks(pl), a)
+					i, pl, len(f.freeBlocks[pl]), a)
 			}
 		}
 	}

@@ -1,9 +1,12 @@
 package ssd
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/flash"
+	"repro/internal/ftl"
 )
 
 func tinyParams() Params {
@@ -37,6 +40,32 @@ func TestNewRejectsBadParams(t *testing.T) {
 	p.Flash.Channels = 0
 	if _, err := New(p); err == nil {
 		t.Fatal("invalid flash accepted")
+	}
+}
+
+// TestNewRejectsUnaddressableGeometry builds a device of 2^31 physical
+// pages, one more than int32 translation entries address: the FTL and the
+// device both refuse it by naming the limit, before allocating its tables.
+func TestNewRejectsUnaddressableGeometry(t *testing.T) {
+	p := DefaultParams()
+	p.Flash.BlocksPerPlane = 1 << 31 / (p.Flash.Planes() * p.Flash.PagesPerBlock)
+	if n := p.Flash.PhysicalPages(); n != 1<<31 {
+		t.Fatalf("geometry holds %d pages, want 2^31", n)
+	}
+	for name, build := range map[string]func() error{
+		"ftl.New": func() error { _, err := ftl.New(p.Flash); return err },
+		"ssd.New": func() error { _, err := New(p); return err },
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := build()
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "2147483647") {
+			t.Fatalf("%s: error %v, want one naming the 2147483647-page limit", name, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Fatalf("%s: allocated %d bytes before refusing", name, alloc)
+		}
 	}
 }
 

@@ -23,6 +23,7 @@ func Mix(name string, opts Options, profiles ...Profile) (*trace.Trace, error) {
 	}
 	curs := make([]*cursor, 0, len(profiles))
 	var nextBase int64
+	total := 0
 	for i, p := range profiles {
 		o := opts
 		o.SeedOffset += int64(i) * 7919 // decorrelate identical profiles
@@ -32,8 +33,9 @@ func Mix(name string, opts Options, profiles ...Profile) (*trace.Trace, error) {
 		}
 		curs = append(curs, &cursor{reqs: t.Requests, base: nextBase})
 		nextBase += p.FootprintPages * pageSize
+		total += len(t.Requests)
 	}
-	out := &trace.Trace{Name: name}
+	out := &trace.Trace{Name: name, Requests: make([]trace.Request, 0, total)}
 	for {
 		best := -1
 		var bestTime int64

@@ -14,6 +14,10 @@ func TestMixInterleavesByTime(t *testing.T) {
 	if tr.Name != "mixed" || tr.Len() == 0 {
 		t.Fatal("empty mix")
 	}
+	// The merged slice is sized once, from the tenants' lengths.
+	if cap(tr.Requests) != tr.Len() {
+		t.Fatalf("mix of %d requests has capacity %d", tr.Len(), cap(tr.Requests))
+	}
 	prev := int64(-1)
 	for i, r := range tr.Requests {
 		if r.Time < prev {
