@@ -120,6 +120,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzPageSet$$' -fuzztime 10s ./internal/cache
 	go test -run '^$$' -fuzz '^FuzzPageIndex$$' -fuzztime 10s ./internal/cache
 	go test -run '^$$' -fuzz '^FuzzReqBlockOps$$' -fuzztime 10s ./internal/core
+	go test -run '^$$' -fuzz '^FuzzAgedExtent$$' -fuzztime 10s ./internal/ftl
 	go test -run '^$$' -fuzz '^FuzzHTTPHandler$$' -fuzztime 10s ./internal/serve
 	go test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime 10s ./internal/serve
 	go test -run '^$$' -fuzz '^FuzzOpQuery$$' -fuzztime 10s ./internal/serve

@@ -27,15 +27,75 @@ import (
 
 // A translation entry holds its target plus one, so the zero entry means
 // unmapped: a fresh FTL's tables need no fill, and the OS backs only the
-// pages Precondition and later writes touch. Call sites convert through
-// entry and target and never do the arithmetic themselves.
+// pages later writes touch. Call sites convert through entry and target
+// and never do the arithmetic themselves.
+//
+// Precondition writes no entries either. The zero entries of the pages it
+// fills translate through the aged extent instead (agedPPN, owner), until a
+// read, write, trim or GC migration first touches the page.
 const unmapped = int32(0)
+
+// trimmed is the mapping entry of a trimmed aged LPN, where a zero entry
+// would still translate through the aged extent. No target encodes to it.
+const trimmed = int32(-1)
 
 // entry encodes a target, an LPN or a PPN, as a translation entry.
 func entry(target int64) int32 { return int32(target + 1) }
 
 // target decodes a mapped translation entry.
 func target(e int32) int64 { return int64(e) - 1 }
+
+// agedExtent records what Precondition filled, so that the filled pages
+// need no translation entries. With S stripe positions and s0 the stripe
+// cursor at the fill, LPN i < n went to position (s0+i) mod S as the r-th
+// LPN that position received, r = ⌊i/S⌋, and each position packed its LPNs
+// PagesPerBlock at a time into the blocks it opened, from page 0. The fill
+// opened those blocks round by round, one per position in stripe order
+// from s0, so block k of the fill holds LPN ⌊k/S⌋·S·PagesPerBlock + k mod S
+// at its page 0, and S such LPNs apart on each following page.
+type agedExtent struct {
+	n      int64   // LPNs 0..n-1 are aged
+	blocks []int32 // the blocks the fill opened, in order
+	first  []int32 // per block: entry of the aged LPN at its page 0; zero once erased, or never aged
+}
+
+// agedPPN translates an aged LPN, lpn < n, whose mapping entry is zero: it
+// sits at page r mod PagesPerBlock of its position's block ⌊r/PagesPerBlock⌋.
+// Pages fit in uint32 (newFTL bounds them to maxPages), whose division is
+// the cheaper.
+func (f *FTL) agedPPN(lpn int64) int64 {
+	s, ppb, i := uint32(len(f.stripeOrder)), uint32(f.p.PagesPerBlock), uint32(lpn)
+	r := i / s
+	j := r / ppb
+	b := f.aged.blocks[j*s+i-r*s]
+	return f.p.PPN(int(b), int(r-j*ppb))
+}
+
+// resolve returns lpn's mapping entry, translating the zero entry of an
+// aged LPN through the aged extent; it writes nothing back. Only an entry
+// above unmapped maps.
+func (f *FTL) resolve(lpn int64) int32 {
+	e := f.mapping[lpn]
+	if e == unmapped && lpn < f.aged.n {
+		return entry(f.agedPPN(lpn))
+	}
+	return e
+}
+
+// owner returns the LPN a valid page holds: its reverse entry's target, or
+// for a zero entry in an aged block, the aged LPN at its in-block page q,
+// the block's first LPN plus q·S. It returns -1 when neither names one.
+func (f *FTL) owner(ppn int64) int64 {
+	if e := f.reverse[ppn]; e != unmapped {
+		return target(e)
+	}
+	ppb := uint32(f.p.PagesPerBlock)
+	first := f.aged.first[uint32(ppn)/ppb]
+	if first == unmapped {
+		return -1
+	}
+	return target(first) + int64(uint32(ppn)%ppb)*int64(len(f.stripeOrder))
+}
 
 // maxPages is the largest physical page count the translation tables
 // address: an entry holds its target plus one in an int32.
@@ -113,8 +173,9 @@ type FTL struct {
 	arr *flash.Array
 	tl  *flash.Timeline
 
-	mapping []int32 // LPN -> entry(PPN); newFTL bounds the pages to maxPages
+	mapping []int32 // LPN -> entry(PPN), or trimmed; newFTL bounds the pages to maxPages
 	reverse []int32 // PPN -> entry(LPN), needed to remap pages during GC
+	aged    agedExtent
 
 	freeBlocks  [][]int32   // per plane: stack of erased blocks
 	wear        []wearIndex // per plane: where the least-worn free blocks are
@@ -201,6 +262,7 @@ func newFTL(p flash.Params) (*FTL, error) {
 		tl:      flash.NewTimeline(p),
 		mapping: make([]int32, p.LogicalPages()),
 		reverse: make([]int32, p.PhysicalPages()),
+		aged:    agedExtent{first: make([]int32, p.Blocks())},
 	}
 	planes := p.Planes()
 	f.freeBlocks = make([][]int32, planes)
@@ -351,7 +413,8 @@ func (f *FTL) flushCheck() error {
 
 // Mapped reports whether an LPN currently has a physical translation.
 func (f *FTL) Mapped(lpn int64) bool {
-	return f.mapping[lpn] != unmapped
+	e := f.mapping[lpn]
+	return e > unmapped || e == unmapped && lpn < f.aged.n
 }
 
 // LogicalPages returns the host-visible page count.
@@ -577,12 +640,18 @@ func (f *FTL) writeOne(now int64, lpn int64, plane int) (int64, int64, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	if old := f.mapping[lpn]; old != unmapped {
+	if old := f.mapping[lpn]; old > unmapped {
 		oldPPN := target(old)
 		if err := f.arr.Invalidate(oldPPN); err != nil {
 			return 0, 0, err
 		}
 		f.reverse[oldPPN] = unmapped
+	} else if old == unmapped && lpn < f.aged.n {
+		// The first rewrite of an aged LPN: its page's reverse entry is
+		// zero already.
+		if err := f.arr.Invalidate(f.agedPPN(lpn)); err != nil {
+			return 0, 0, err
+		}
 	}
 	f.mapping[lpn] = entry(ppn)
 	f.reverse[ppn] = entry(lpn)
@@ -689,7 +758,13 @@ func (f *FTL) Read(now int64, lpns []int64) (int64, error) {
 			return 0, err
 		}
 		var plane int
-		if e := f.mapping[lpn]; e != unmapped {
+		e := f.mapping[lpn]
+		if e == unmapped && lpn < f.aged.n {
+			// The first read of an aged LPN writes its entry back.
+			e = entry(f.agedPPN(lpn))
+			f.mapping[lpn] = e
+		}
+		if e > unmapped {
 			ppn := target(e)
 			if err := f.arr.Read(ppn); err != nil {
 				return 0, err
@@ -719,8 +794,8 @@ func (f *FTL) Trim(lpns []int64) error {
 		if err := f.checkLPN(lpn); err != nil {
 			return err
 		}
-		e := f.mapping[lpn]
-		if e == unmapped {
+		e := f.resolve(lpn)
+		if e <= unmapped {
 			continue
 		}
 		ppn := target(e)
@@ -728,6 +803,9 @@ func (f *FTL) Trim(lpns []int64) error {
 			return err
 		}
 		f.mapping[lpn] = unmapped
+		if lpn < f.aged.n {
+			f.mapping[lpn] = trimmed
+		}
 		f.reverse[ppn] = unmapped
 		f.stats.Trims++
 	}
@@ -746,7 +824,9 @@ func (f *FTL) Trim(lpns []int64) error {
 // plane (no plane receives more than its capacity), so the fill skips it:
 // each LPN goes to the stripe plane WriteStriped would pick, blocks open
 // through takeFree in the same wear-levelled order, and each block's run is
-// programmed in one step, leaving the FTL as page-by-page writes would.
+// programmed in one step, leaving the array, free lists and frontiers as
+// page-by-page writes would. It writes no translation entry: it records the
+// aged extent, through which the filled pages translate, in O(blocks).
 func (f *FTL) Precondition(fraction float64) error {
 	if fraction < 0 || fraction > 1 {
 		return fmt.Errorf("ftl: precondition fraction %v out of [0,1]", fraction)
@@ -756,32 +836,27 @@ func (f *FTL) Precondition(fraction float64) error {
 			f.arr.Programs(), f.arr.BadBlocks())
 	}
 	n := int64(float64(f.LogicalPages()) * fraction)
-	stripes := int64(len(f.stripeOrder))
-	// Per stripe position: the next and end PPN of its open block's run.
-	cur := make([]struct{ next, end int64 }, stripes)
-	k := f.stripeNext
-	for lpn := int64(0); lpn < n; lpn++ {
-		c := &cur[k]
-		if c.next == c.end {
-			// The position receives lpn, lpn+stripes, ... up to n.
-			run := min((n-1-lpn)/stripes+1, int64(f.p.PagesPerBlock))
-			plane := int(f.stripeOrder[k])
-			block := f.takeFree(plane)
-			ppn, err := f.arr.ProgramRun(int(block), int(run))
-			if err != nil {
-				return fmt.Errorf("ftl: precondition at lpn %d: %w", lpn, err)
-			}
-			f.activeBlock[plane] = block
-			c.next, c.end = ppn, ppn+run
+	s, ppb := int64(len(f.stripeOrder)), int64(f.p.PagesPerBlock)
+	f.aged.blocks = make([]int32, 0, (n+ppb-1)/ppb+s)
+	for k := int64(0); ; k++ {
+		// Block k opens for the LPN at its page 0; its position receives
+		// that LPN and every S-th one after it, up to n.
+		lpn := k/s*s*ppb + k%s
+		if lpn >= n {
+			break
 		}
-		f.mapping[lpn] = entry(c.next)
-		f.reverse[c.next] = entry(lpn)
-		c.next++
-		if k++; k == len(cur) {
-			k = 0
+		run := min((n-1-lpn)/s+1, ppb)
+		plane := int(f.stripeOrder[(int64(f.stripeNext)+k)%s])
+		block := f.takeFree(plane)
+		if _, err := f.arr.ProgramRun(int(block), int(run)); err != nil {
+			return fmt.Errorf("ftl: precondition at lpn %d: %w", lpn, err)
 		}
+		f.activeBlock[plane] = block
+		f.aged.blocks = append(f.aged.blocks, block)
+		f.aged.first[block] = entry(lpn)
 	}
-	f.stripeNext = k
+	f.aged.n = n
+	f.stripeNext = int((int64(f.stripeNext) + n) % s)
 	return nil
 }
 
@@ -859,7 +934,7 @@ func (f *FTL) gcOnce(now int64, plane int) bool {
 		if f.arr.State(ppn) != flash.PageValid {
 			continue
 		}
-		lpn := target(f.reverse[ppn])
+		lpn := f.owner(ppn)
 		newPPN, tgt, _, err := f.allocPage(now, plane, false)
 		if err != nil {
 			return false
@@ -889,6 +964,7 @@ func (f *FTL) gcOnce(now int64, plane int) bool {
 	if f.gcActive[plane] == int32(victim) {
 		f.gcActive[plane] = -1
 	}
+	f.aged.first[victim] = unmapped
 	if err := f.arr.Erase(victim); err != nil {
 		if errors.Is(err, fault.ErrEraseFail) || errors.Is(err, fault.ErrGrownBad) {
 			// The attempt occupied the die either way; the block is bad and
@@ -916,18 +992,22 @@ func (f *FTL) gcOnce(now int64, plane int) bool {
 	return true
 }
 
-// CheckInvariants validates mapping/reverse consistency, the array's
-// physical invariants, the retirement rules (no LPN maps into a retired
-// block, the free lists hold only healthy erased blocks), and the
-// free-page accounting per plane. Run by tests and, via fault.Checker,
-// after every fault recovery.
+// CheckInvariants validates mapping/reverse consistency, both resolved
+// through the aged extent, the array's physical invariants, the retirement
+// rules (no LPN maps into a retired block, the free lists hold only healthy
+// erased blocks), and the free-page accounting per plane. It writes
+// nothing. Run by tests and, via fault.Checker, after every fault recovery.
 func (f *FTL) CheckInvariants() error {
 	if err := f.arr.CheckInvariants(); err != nil {
 		return err
 	}
 	var mapped int64
-	for lpn, e := range f.mapping {
-		if e == unmapped {
+	for lpn := range f.mapping {
+		e := f.resolve(int64(lpn))
+		if e < unmapped && (e != trimmed || int64(lpn) >= f.aged.n) {
+			return fmt.Errorf("ftl: lpn %d holds entry %d", lpn, e)
+		}
+		if e <= unmapped {
 			continue
 		}
 		mapped++
@@ -938,22 +1018,39 @@ func (f *FTL) CheckInvariants() error {
 		if f.arr.IsBad(f.p.BlockOfPPN(ppn)) {
 			return fmt.Errorf("ftl: lpn %d maps into retired block %d", lpn, f.p.BlockOfPPN(ppn))
 		}
-		if f.reverse[ppn] != entry(int64(lpn)) {
-			return fmt.Errorf("ftl: reverse[%d] maps to lpn %d, want %d", ppn, target(f.reverse[ppn]), lpn)
+		if owner := f.owner(ppn); owner != int64(lpn) {
+			return fmt.Errorf("ftl: ppn %d holds lpn %d, want %d", ppn, owner, lpn)
 		}
 	}
 	var valid int64
 	for ppn, e := range f.reverse {
-		if e == unmapped {
+		if f.arr.State(int64(ppn)) != flash.PageValid {
+			if e != unmapped {
+				return fmt.Errorf("ftl: non-valid ppn %d keeps reverse entry %d", ppn, e)
+			}
 			continue
 		}
 		valid++
-		if lpn := target(e); f.mapping[lpn] != entry(int64(ppn)) {
-			return fmt.Errorf("ftl: mapping[%d] maps to ppn %d, want %d", lpn, target(f.mapping[lpn]), ppn)
+		lpn := f.owner(int64(ppn))
+		if lpn < 0 || lpn >= f.LogicalPages() {
+			return fmt.Errorf("ftl: valid ppn %d holds no lpn (%d)", ppn, lpn)
+		}
+		if e := f.resolve(lpn); e != entry(int64(ppn)) {
+			return fmt.Errorf("ftl: lpn %d resolves to entry %d, want ppn %d", lpn, e, ppn)
 		}
 	}
 	if mapped != valid {
-		return fmt.Errorf("ftl: %d mapped lpns but %d reverse entries", mapped, valid)
+		return fmt.Errorf("ftl: %d mapped lpns but %d valid pages", mapped, valid)
+	}
+	// Every block the aged extent still names is healthy, and the LPN at
+	// its page 0 translates there.
+	for b, first := range f.aged.first {
+		if first == unmapped {
+			continue
+		}
+		if lpn := target(first); lpn >= f.aged.n || f.agedPPN(lpn) != f.p.PPN(b, 0) || f.arr.IsBad(b) {
+			return fmt.Errorf("ftl: aged block %d with first lpn %d is not where the fill put it", b, lpn)
+		}
 	}
 	// Free-page accounting: per plane, the pages reachable through the
 	// allocator (free-listed blocks plus the open frontiers) must equal the

@@ -303,7 +303,7 @@ func (f *FTL) stepJob(now int64) (done, progress bool) {
 			continue
 		}
 		sliceStart := max(now, f.tl.ChipFree(j.chip))
-		lpn := target(f.reverse[ppn])
+		lpn := f.owner(ppn)
 		newPPN, tgt, _, err := f.allocPage(now, j.plane, false)
 		if err != nil {
 			// No destination for the migration (degraded, or the device is
@@ -346,6 +346,7 @@ func (f *FTL) stepJob(now int64) (done, progress bool) {
 func (f *FTL) finalizeJob(now int64) bool {
 	j := &f.job
 	sliceStart := max(now, f.tl.ChipFree(j.chip))
+	f.aged.first[j.victim] = unmapped
 	err := f.arr.Erase(j.victim)
 	if err != nil && !errors.Is(err, fault.ErrEraseFail) && !errors.Is(err, fault.ErrGrownBad) {
 		panic(fmt.Sprintf("ftl: gc erase: %v", err))

@@ -2,7 +2,6 @@ package ftl
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"repro/internal/fault"
@@ -58,8 +57,10 @@ func fillGeometries() map[string]flash.Params {
 }
 
 // TestPreconditionMatchesPerPageFill diffs the whole FTL the block-run fill
-// leaves against the per-page reference: mapping, reverse map, free lists,
-// wear index, frontiers, stripe cursor and every array table and counter.
+// leaves against the per-page reference: every LPN's PPN and every valid
+// page's owner by resolution, and every other field (free lists, wear
+// index, frontiers, stripe cursor, every array table and counter) by
+// reflect.DeepEqual.
 func TestPreconditionMatchesPerPageFill(t *testing.T) {
 	for name, p := range fillGeometries() {
 		onePage := 1.5 / float64(p.LogicalPages())
@@ -94,8 +95,8 @@ func TestPreconditionMatchesPerPageFill(t *testing.T) {
 					if got.arr.Programs() != n {
 						t.Fatalf("%s: %d pages programmed, want %d", label, got.arr.Programs(), n)
 					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s: block-run fill differs from the per-page fill", label)
+					if d := diffFTL(got, want); d != "" {
+						t.Fatalf("%s: block-run fill differs from the per-page fill: %s", label, d)
 					}
 				}
 			}
@@ -105,32 +106,40 @@ func TestPreconditionMatchesPerPageFill(t *testing.T) {
 
 // TestFreshTablesStayZero pins the translation encoding: the zero entry is
 // unmapped, so a fresh FTL's tables hold nothing but zeros, and a fill
-// writes only the entries of the pages it maps.
+// writes no entry at all: its pages translate through the aged extent.
 func TestFreshTablesStayZero(t *testing.T) {
 	f := mustNew(t, fillGeometries()["scaled256"])
-	for lpn, e := range f.mapping {
-		if e != 0 || f.Mapped(int64(lpn)) {
-			t.Fatalf("fresh mapping[%d] = %d", lpn, e)
+	zero := func(when string) {
+		t.Helper()
+		for lpn, e := range f.mapping {
+			if e != 0 {
+				t.Fatalf("%s: mapping[%d] = %d", when, lpn, e)
+			}
+		}
+		for ppn, e := range f.reverse {
+			if e != 0 {
+				t.Fatalf("%s: reverse[%d] = %d", when, ppn, e)
+			}
 		}
 	}
-	for ppn, e := range f.reverse {
-		if e != 0 {
-			t.Fatalf("fresh reverse[%d] = %d", ppn, e)
+	zero("fresh")
+	for lpn := int64(0); lpn < f.LogicalPages(); lpn++ {
+		if f.Mapped(lpn) {
+			t.Fatalf("fresh: lpn %d mapped", lpn)
 		}
 	}
-	if err := f.Precondition(0.5); err != nil {
+	if err := f.Precondition(0.9); err != nil {
 		t.Fatal(err)
 	}
-	n := int64(float64(f.LogicalPages()) * 0.5)
+	zero("after Precondition(0.9)")
+	n := int64(float64(f.LogicalPages()) * 0.9)
 	for lpn := int64(0); lpn < f.LogicalPages(); lpn++ {
-		if filled := lpn < n; f.Mapped(lpn) != filled || (!filled && f.mapping[lpn] != 0) {
-			t.Fatalf("after a fill of %d pages: mapping[%d] = %d", n, lpn, f.mapping[lpn])
+		if filled := lpn < n; f.Mapped(lpn) != filled {
+			t.Fatalf("after a fill of %d pages: Mapped(%d) = %v", n, lpn, !filled)
 		}
 	}
-	for ppn, e := range f.reverse {
-		if f.arr.State(int64(ppn)) == flash.PageFree && e != 0 {
-			t.Fatalf("after the fill: unprogrammed reverse[%d] = %d", ppn, e)
-		}
+	if err := f.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -152,8 +161,8 @@ func TestPreconditionFromStripeCursor(t *testing.T) {
 			if err := got.CheckInvariants(); err != nil {
 				t.Fatalf("start %d, fraction %g: %v", start, fraction, err)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("start %d, fraction %g: block-run fill differs from the per-page fill", start, fraction)
+			if d := diffFTL(got, want); d != "" {
+				t.Fatalf("start %d, fraction %g: block-run fill differs from the per-page fill: %s", start, fraction, d)
 			}
 		}
 	}

@@ -1,6 +1,8 @@
 package serve_test
 
 import (
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"strings"
 	"sync/atomic"
@@ -254,5 +256,30 @@ func TestDeadlineMissDumpsFlightRecorder(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no deadline-queued dump among %v", ents)
+	}
+}
+
+// TestFarDeadlineNeverExpires reads over HTTP from a server on the real
+// clock with deadline_ns at math.MaxInt64. The deadline saturates instead
+// of wrapping past the clock, so the read is served: 200, not a timeout.
+func TestFarDeadlineNeverExpires(t *testing.T) {
+	leakcheck.Check(t)
+	srv, err := serve.New(serve.Config{
+		Shards: 1, TotalCapacityPages: 64, NewPolicy: lruPolicy, NewDevice: testDevice,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv.HTTPHandler(nil))
+	defer ts.Close()
+	time.Sleep(time.Millisecond) // the clock has left zero, where the sum cannot wrap
+	resp, err := ts.Client().Get(ts.URL + "/v1/read?lpn=3&pages=1&deadline_ns=9223372036854775807")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("read with deadline_ns=MaxInt64: status %d, want 200", resp.StatusCode)
 	}
 }

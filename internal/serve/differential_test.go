@@ -13,6 +13,7 @@ import (
 	"repro/internal/replay"
 	"repro/internal/serve"
 	"repro/internal/sim"
+	"repro/internal/ssd"
 	"repro/internal/trace"
 )
 
@@ -75,8 +76,7 @@ func (c *resultCollector) OnResult(_ *sim.Engine, ev *sim.ResultEvent) {
 // the shard cannot drain below would wedge a Submit here, so a Submit that
 // has not returned within two seconds fails the test.
 func TestServedMatchesReplayed(t *testing.T) {
-	const requests, capacity = 3000, 1024
-	tr, ops := diffWorkload(requests)
+	tr, ops := diffWorkload(3000)
 	policies := []struct {
 		name  string
 		build func(_, capPages int) cache.Policy
@@ -86,67 +86,86 @@ func TestServedMatchesReplayed(t *testing.T) {
 		{"fab", func(_, n int) cache.Policy { return cache.NewFAB(n, 16) }},
 		{"cflru", func(_, n int) cache.Policy { return cache.NewCFLRU(n) }},
 	}
+	// Aged devices join the equal-sharing rows. Their fill places LPNs
+	// below 57,344, so diffWorkload's regions 0-13 read and rewrite pages
+	// the fill placed, and regions 14-15 pages it did not.
+	devices := []struct {
+		suffix string
+		build  func(int) (*ssd.Device, error)
+	}{{"", testDevice}, {"/aged", agedTestDevice}}
 	for _, pol := range policies {
 		for _, shards := range []int{1, 2, 4} {
 			for _, sharing := range []sim.SharingMode{sim.SharingShared, sim.SharingEqual} {
 				for _, bp := range []int{0, 2} {
-					name := fmt.Sprintf("%s/shards=%d/%v/bp=%d", pol.name, shards, sharing, bp)
-					t.Run(name, func(t *testing.T) {
-						leakcheck.Check(t)
-						want := &resultCollector{out: make([]replayedResult, requests)}
-						if _, err := replay.RunSharded(tr.Source(), replay.ShardSpec{
-							Shards: shards, Sharing: sharing, TotalCapacityPages: capacity,
-							NewPolicy: pol.build, NewDevice: testDevice,
-						}, replay.Options{BackPressureDepth: bp, Observers: []sim.Observer{want}}); err != nil {
-							t.Fatal(err)
+					for _, dev := range devices {
+						if dev.suffix != "" && sharing != sim.SharingEqual {
+							continue
 						}
-
-						clock := &fakeClock{}
-						srv, err := serve.New(serve.Config{
-							Shards: shards, Sharing: sharing, TotalCapacityPages: capacity,
-							NewPolicy: pol.build, NewDevice: testDevice,
-							BackPressureDepth: bp,
-							DefaultDeadlineNs: math.MaxInt64 / 2,
-							Now:               clock.Now,
+						name := fmt.Sprintf("%s/shards=%d/%v/bp=%d%s", pol.name, shards, sharing, bp, dev.suffix)
+						t.Run(name, func(t *testing.T) {
+							servedMatchesReplayed(t, tr, ops, shards, sharing, bp, pol.build, dev.build)
 						})
-						if err != nil {
-							t.Fatal(err)
-						}
-						defer srv.Close() // wakes a wedged window waiter
-						type submitted struct {
-							resp serve.Response
-							err  error
-						}
-						done := make(chan submitted, 1)
-						timer := time.NewTimer(2 * time.Second)
-						defer timer.Stop()
-						for i, op := range ops {
-							clock.ns.Store(tr.Requests[i].Time)
-							go func() {
-								resp, err := srv.Submit(op)
-								done <- submitted{resp, err}
-							}()
-							timer.Reset(2 * time.Second)
-							var got submitted
-							select {
-							case got = <-done:
-							case <-timer.C:
-								t.Fatalf("request %d (%+v): Submit has not returned after 2s", i, op)
-							}
-							if got.err != nil {
-								t.Fatalf("request %d: %v", i, got.err)
-							}
-							r, w := got.resp, want.out[i]
-							if r.Outcome != serve.OutcomeOK || r.SimLatencyNs != w.latency ||
-								r.SimBlame != w.blame || r.Hits != w.hits || r.Misses != w.misses {
-								t.Fatalf("request %d (%+v): served %v latency %d blame %v hits %d misses %d; replayed latency %d blame %v hits %d misses %d",
-									i, op, r.Outcome, r.SimLatencyNs, r.SimBlame, r.Hits, r.Misses,
-									w.latency, w.blame, w.hits, w.misses)
-							}
-						}
-					})
+					}
 				}
 			}
+		}
+	}
+}
+
+// servedMatchesReplayed is one TestServedMatchesReplayed row.
+func servedMatchesReplayed(t *testing.T, tr *trace.Trace, ops []serve.Op, shards int, sharing sim.SharingMode, bp int,
+	newPolicy func(_, capPages int) cache.Policy, newDevice func(int) (*ssd.Device, error)) {
+	const capacity = 1024
+	leakcheck.Check(t)
+	want := &resultCollector{out: make([]replayedResult, len(ops))}
+	if _, err := replay.RunSharded(tr.Source(), replay.ShardSpec{
+		Shards: shards, Sharing: sharing, TotalCapacityPages: capacity,
+		NewPolicy: newPolicy, NewDevice: newDevice,
+	}, replay.Options{BackPressureDepth: bp, Observers: []sim.Observer{want}}); err != nil {
+		t.Fatal(err)
+	}
+
+	clock := &fakeClock{}
+	srv, err := serve.New(serve.Config{
+		Shards: shards, Sharing: sharing, TotalCapacityPages: capacity,
+		NewPolicy: newPolicy, NewDevice: newDevice,
+		BackPressureDepth: bp,
+		DefaultDeadlineNs: math.MaxInt64 / 2,
+		Now:               clock.Now,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close() // wakes a wedged window waiter
+	type submitted struct {
+		resp serve.Response
+		err  error
+	}
+	done := make(chan submitted, 1)
+	timer := time.NewTimer(2 * time.Second)
+	defer timer.Stop()
+	for i, op := range ops {
+		clock.ns.Store(tr.Requests[i].Time)
+		go func() {
+			resp, err := srv.Submit(op)
+			done <- submitted{resp, err}
+		}()
+		timer.Reset(2 * time.Second)
+		var got submitted
+		select {
+		case got = <-done:
+		case <-timer.C:
+			t.Fatalf("request %d (%+v): Submit has not returned after 2s", i, op)
+		}
+		if got.err != nil {
+			t.Fatalf("request %d: %v", i, got.err)
+		}
+		r, w := got.resp, want.out[i]
+		if r.Outcome != serve.OutcomeOK || r.SimLatencyNs != w.latency ||
+			r.SimBlame != w.blame || r.Hits != w.hits || r.Misses != w.misses {
+			t.Fatalf("request %d (%+v): served %v latency %d blame %v hits %d misses %d; replayed latency %d blame %v hits %d misses %d",
+				i, op, r.Outcome, r.SimLatencyNs, r.SimBlame, r.Hits, r.Misses,
+				w.latency, w.blame, w.hits, w.misses)
 		}
 	}
 }

@@ -21,11 +21,17 @@ const (
 	fuzzWindow = 48
 )
 
+// clockReach bounds how far the fake clock, one nanosecond per reading,
+// can advance within one FuzzSubmitBounds case. A zero deadline takes the
+// server's default, math.MaxInt64/2, which lies beyond it too.
+const clockReach = 1 << 32
+
 // FuzzSubmitBounds submits three hostile ops at once, from three
 // goroutines, to a fresh two-shard server on fuzzDevices. Each Submit must
 // return within two seconds. It must error exactly when Submit's documented
 // bounds reject the op, and otherwise answer with an outcome a healthy
-// server gives, from the shard sim.RouteLPN names. Drain must then return,
+// server gives, from the shard sim.RouteLPN names; a read whose deadline
+// lies past the clock's reach must be served. Drain must then return,
 // every device must pass CheckInvariants, and no goroutine may outlive the
 // server.
 //
@@ -64,6 +70,11 @@ func FuzzSubmitBounds(f *testing.F) {
 	seed(serve.Op{Write: true, Pages: 40},
 		serve.Op{Write: true, LPN: 8, Pages: 40, DeadlineNs: 1},
 		serve.Op{Write: true, LPN: 16, Pages: 40, DeadlineNs: math.MaxInt64})
+	// Reads whose deadlines lie past the clock's reach: the sums with the
+	// clock saturate instead of wrapping.
+	seed(serve.Op{LPN: 5, Pages: 1, DeadlineNs: math.MaxInt64},
+		serve.Op{LPN: 70, Pages: 2, DeadlineNs: math.MaxInt64 - 1},
+		serve.Op{Write: true, LPN: 9, Pages: 1, DeadlineNs: math.MaxInt64})
 	f.Fuzz(func(t *testing.T,
 		write0 bool, lpn0, pages0, deadline0 int64,
 		write1 bool, lpn1, pages1, deadline1 int64,
@@ -124,6 +135,9 @@ func FuzzSubmitBounds(f *testing.F) {
 			case serve.OutcomeOK, serve.OutcomeRejected, serve.OutcomeTimeout:
 			default:
 				t.Fatalf("Submit(%+v): outcome %v", op, a.resp.Outcome)
+			}
+			if !op.Write && (op.DeadlineNs == 0 || op.DeadlineNs > clockReach) && a.resp.Outcome != serve.OutcomeOK {
+				t.Fatalf("Submit(%+v): outcome %v, want ok: the deadline lies past the clock's reach", op, a.resp.Outcome)
 			}
 			if k := sim.RouteLPN(op.LPN, nil, fuzzRegion, fuzzShards); a.resp.Shard != k {
 				t.Fatalf("Submit(%+v): answered by shard %d, routed to %d", op, a.resp.Shard, k)

@@ -28,6 +28,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -362,11 +363,11 @@ func (srv *Server) Submit(op Op) (Response, error) {
 	}
 	now := srv.now()
 	w := &work{op: op, submitted: now, done: make(chan Response, 1)}
+	budget := srv.cfg.DefaultDeadlineNs
 	if op.DeadlineNs > 0 {
-		w.deadline = now + op.DeadlineNs
-	} else {
-		w.deadline = now + srv.cfg.DefaultDeadlineNs
+		budget = op.DeadlineNs
 	}
+	w.deadline = after(now, budget)
 
 	srv.stateMu.RLock()
 	if srv.draining.Load() {
@@ -379,6 +380,16 @@ func (srv *Server) Submit(op Op) (Response, error) {
 		return resp, nil
 	}
 	return <-w.done, nil
+}
+
+// after returns the server-clock time d nanoseconds after t, for a d that
+// is not negative, saturated at math.MaxInt64: a deadline past the clock's
+// reach never expires, where the wrapped sum would expire at once.
+func after(t, d int64) int64 {
+	if t > 0 && d > math.MaxInt64-t {
+		return math.MaxInt64
+	}
+	return t + d
 }
 
 // ForceReadOnly pushes every shard's device into degraded read-only mode

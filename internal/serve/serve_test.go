@@ -23,11 +23,17 @@ import (
 )
 
 // testDevice builds the small fresh device every serve test shards over.
-func testDevice(int) (*ssd.Device, error) {
+func testDevice(int) (*ssd.Device, error) { return testDeviceFilled(0) }
+
+// agedTestDevice is testDevice preconditioned to half its logical space,
+// so reads and rewrites of low LPNs find pages the fill placed.
+func agedTestDevice(int) (*ssd.Device, error) { return testDeviceFilled(0.5) }
+
+func testDeviceFilled(fraction float64) (*ssd.Device, error) {
 	p := ssd.DefaultParams()
 	p.Flash.BlocksPerPlane = 512
 	p.Flash.PagesPerBlock = 16
-	p.Precondition = 0
+	p.Precondition = fraction
 	return ssd.New(p)
 }
 

@@ -122,7 +122,7 @@ func (s *shard) waitWindow(w *work) (Response, bool) {
 	srv := s.srv
 	srv.met.windowWaits.Inc()
 	limit := w.deadline
-	if c := w.submitted + srv.cfg.MaxWaitNs; c < limit {
+	if c := after(w.submitted, srv.cfg.MaxWaitNs); c < limit {
 		limit = c
 	}
 	if srv.cfg.Now == nil {
