@@ -140,29 +140,17 @@ type Result struct {
 	Steps []StepResult `json:"steps"`
 }
 
-// stepState accumulates one step under concurrency.
+// stepState accumulates one step under concurrency; every field is
+// atomic, so the response goroutines share it without a lock.
 type stepState struct {
 	sent, skipped atomic.Int64
 	outcomes      [7]atomic.Int64 // indexed by serve.Outcome
-
-	mu             sync.Mutex
-	p50, p99, p999 *metrics.Quantile
-}
-
-func newStepState() *stepState {
-	return &stepState{
-		p50: metrics.NewQuantile(0.50), p99: metrics.NewQuantile(0.99),
-		p999: metrics.NewQuantile(0.999),
-	}
+	latency       metrics.LogHist
 }
 
 func (st *stepState) observe(latNs int64, out serve.Outcome) {
 	st.outcomes[out].Add(1)
-	st.mu.Lock()
-	st.p50.Observe(float64(latNs))
-	st.p99.Observe(float64(latNs))
-	st.p999.Observe(float64(latNs))
-	st.mu.Unlock()
+	st.latency.Observe(latNs)
 }
 
 // Run drives the profile against sub, one ramp step at a time, waiting
@@ -182,7 +170,7 @@ func Run(sub Submitter, p Profile) (*Result, error) {
 		// isolation.
 		arrivalRng := rand.New(rand.NewSource(p.Seed + int64(step)*7919))
 		opRng := rand.New(rand.NewSource(p.Seed ^ (int64(step+1) * 104729)))
-		st := newStepState()
+		st := &stepState{}
 		var outstanding atomic.Int64
 		var wg sync.WaitGroup
 
@@ -225,8 +213,8 @@ func Run(sub Submitter, p Profile) (*Result, error) {
 			ReadOnly: st.outcomes[serve.OutcomeReadOnly].Load(),
 			Draining: st.outcomes[serve.OutcomeDraining].Load(),
 			Errors:   st.outcomes[serve.OutcomeError].Load(),
-			P50Ns:    int64(st.p50.Value()), P99Ns: int64(st.p99.Value()),
-			P999Ns: int64(st.p999.Value()),
+			P50Ns:    st.latency.Quantile(0.5), P99Ns: st.latency.Quantile(0.99),
+			P999Ns: st.latency.Quantile(0.999),
 		}
 		served := float64(sr.OK + sr.Shed)
 		secs := elapsed.Seconds()

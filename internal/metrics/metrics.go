@@ -1,6 +1,6 @@
 // Package metrics provides the small statistics toolkit used throughout the
-// simulator: streaming summaries, integer histograms, weighted CDFs and
-// fixed-interval time series.
+// simulator: streaming summaries, integer histograms, the one latency
+// distribution (LogHist), weighted CDFs and fixed-interval time series.
 //
 // Everything here is deterministic and allocation-conscious; the experiment
 // harness relies on these types to regenerate the paper's figures (CDF plots

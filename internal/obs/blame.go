@@ -3,9 +3,9 @@ package obs
 import (
 	"fmt"
 	"io"
-	"math"
 	"sync/atomic"
 
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -14,31 +14,33 @@ import (
 // bucket × cause matrix that answers "what fraction of P99.9 is GC pause
 // vs. back-pressure vs. queueing". Like every obs instrument it is
 // nil-safe, atomic, and allocation-free on the observe path: the matrix is
-// pre-sized (histBuckets × NumBlameCauses atomics), so folding a request
-// is a handful of atomic adds.
+// pre-sized (metrics.Pow2Buckets × NumBlameCauses atomics), so folding a
+// request is a handful of atomic adds.
 type BlameSet struct {
 	// Cause[c] is the distribution of nonzero time charged to cause c.
-	Cause [sim.NumBlameCauses]*Hist
+	Cause [sim.NumBlameCauses]*metrics.LogHist
 	// Dominant[c] counts requests whose largest share was cause c.
 	Dominant [sim.NumBlameCauses]*Counter
 	// GCOverlap is the distribution of foreground GC pause accumulated
 	// while a request dispatched (overlaps the flash causes; reported
 	// alongside the partition, not inside it).
-	GCOverlap *Hist
+	GCOverlap *metrics.LogHist
 	// ScanWork is the distribution of nonzero victim-scan work charged to
 	// a request's evictions.
-	ScanWork *Hist
+	ScanWork *metrics.LogHist
 
+	// total is the distribution of the folded requests' response times;
+	// its power-of-two folds are the matrix rows' request counts.
+	total metrics.LogHist
 	// cells[b] aggregates the requests whose total response time fell in
-	// log2 bucket b (same bucketing as Hist): request count, per-cause
-	// nanosecond totals, and per-cause dominant counts. Per-bucket cause
-	// means sum exactly to the per-bucket mean response time because the
-	// engine's partition is exact.
-	cells [histBuckets]blameCell
+	// power-of-two fold b (metrics.Pow2Bucket): per-cause nanosecond
+	// totals and per-cause dominant counts. Per-fold cause means sum
+	// exactly to the per-fold mean response time because the engine's
+	// partition is exact.
+	cells [metrics.Pow2Buckets]blameCell
 }
 
 type blameCell struct {
-	count    atomic.Int64
 	ns       [sim.NumBlameCauses]atomic.Int64
 	dominant [sim.NumBlameCauses]atomic.Int64
 }
@@ -75,8 +77,8 @@ func (b *BlameSet) Observe(total int64, bl *sim.Blame) {
 	if bl.ScanCost > 0 {
 		b.ScanWork.Observe(bl.ScanCost)
 	}
-	cell := &b.cells[bucketOf(total)]
-	cell.count.Add(1)
+	b.total.Observe(total)
+	cell := &b.cells[metrics.Pow2Bucket(total)]
 	cell.dominant[dom].Add(1)
 	for c := 0; c < sim.NumBlameCauses; c++ {
 		if v := bl.Ns[c]; v != 0 {
@@ -91,19 +93,16 @@ func (b *BlameSet) Count() int64 {
 	if b == nil {
 		return 0
 	}
-	var n int64
-	for i := range b.cells {
-		n += b.cells[i].count.Load()
-	}
-	return n
+	return b.total.Count()
 }
 
 // BlameRow is one quantile's decomposition from BlameTable.
 type BlameRow struct {
 	// Quantile is the requested rank (0..1).
 	Quantile float64
-	// Bucket is the log2 latency bucket holding that rank; UpperNs its
-	// upper edge (the same edge Hist.Quantile reports).
+	// Bucket is the power-of-two fold holding that rank's response time;
+	// UpperNs its upper edge, so the response-time histogram's quantile
+	// lies in (UpperNs/2, UpperNs].
 	Bucket  int
 	UpperNs int64
 	// Count is the number of requests in the bucket; MeanNs their mean
@@ -119,42 +118,19 @@ type BlameRow struct {
 }
 
 // BlameTable decomposes each requested quantile of the response-time
-// distribution into per-cause means over that quantile's latency bucket.
-// Quantiles map to buckets exactly as Hist.Quantile maps ranks, so the
-// rows line up with the ssdsim_request_latency_ns histogram.
+// distribution into per-cause means over the power-of-two fold holding
+// it. The fold is the one holding metrics.LogHist.Quantile's answer, so
+// the rows line up with the ssdsim_request_latency_ns histogram.
 func (b *BlameSet) BlameTable(qs ...float64) []BlameRow {
-	if b == nil || len(qs) == 0 {
+	if b == nil || len(qs) == 0 || b.Count() == 0 {
 		return nil
 	}
-	total := b.Count()
-	if total == 0 {
-		return nil
-	}
+	counts := b.total.Pow2Counts()
 	rows := make([]BlameRow, 0, len(qs))
 	for _, q := range qs {
-		rank := int64(q * float64(total))
-		if rank >= total {
-			rank = total - 1
-		}
-		var cum int64
-		bucket := histBuckets - 1
-		for i := 0; i < histBuckets; i++ {
-			cum += b.cells[i].count.Load()
-			if cum > rank {
-				bucket = i
-				break
-			}
-		}
+		bucket := metrics.Pow2Bucket(b.total.Quantile(q))
 		cell := &b.cells[bucket]
-		row := BlameRow{Quantile: q, Bucket: bucket, Count: cell.count.Load()}
-		switch {
-		case bucket == 0:
-			row.UpperNs = 1
-		case bucket == histBuckets-1:
-			row.UpperNs = math.MaxInt64
-		default:
-			row.UpperNs = 1 << uint(bucket)
-		}
+		row := BlameRow{Quantile: q, Bucket: bucket, UpperNs: metrics.Pow2Upper(bucket), Count: counts[bucket]}
 		if row.Count > 0 {
 			var sum int64
 			for c := 0; c < sim.NumBlameCauses; c++ {

@@ -5,49 +5,64 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
-// Powers of two are the bucket edges themselves: 2^i must land in bucket
-// i (upper edge inclusive), and 2^i + 1 must spill into bucket i+1. The
-// blame matrix, quantile mapping, and Prometheus exposition all assume
-// this alignment, so it is pinned across the whole representable range.
+// Powers of two are the matrix's fold edges: a response of 2^i must land
+// in fold i (upper edge inclusive), and 2^i + 1 must spill into fold
+// i+1. The blame matrix, the quantile mapping and the Prometheus le edges
+// all assume this alignment, so it is pinned across the whole
+// representable range.
 func TestHistPowerOfTwoBoundaries(t *testing.T) {
-	for i := 1; i < histBuckets-1; i++ {
+	var bl sim.Blame
+	row := func(total int64) BlameRow {
+		b := &BlameSet{}
+		b.Observe(total, &bl)
+		return b.BlameTable(0.5)[0]
+	}
+	for i := 1; i < metrics.Pow2Buckets-1; i++ {
 		edge := int64(1) << uint(i)
-		if got := bucketOf(edge); got != i {
-			t.Errorf("bucketOf(2^%d) = %d, want %d", i, got, i)
+		if r := row(edge); r.Bucket != i || r.UpperNs != edge {
+			t.Errorf("response 2^%d: fold %d (edge %d), want %d (edge %d)", i, r.Bucket, r.UpperNs, i, edge)
 		}
-		if got := bucketOf(edge + 1); got != i+1 {
-			t.Errorf("bucketOf(2^%d+1) = %d, want %d", i, got, i+1)
+		if r := row(edge + 1); r.Bucket != i+1 || r.UpperNs != metrics.Pow2Upper(i+1) {
+			t.Errorf("response 2^%d+1: fold %d, want %d", i, r.Bucket, i+1)
 		}
 	}
-	// The bottom bucket holds everything <= 1, including the degenerate
-	// inputs; the top bucket absorbs the unrepresentable tail.
-	if bucketOf(0) != 0 || bucketOf(1) != 0 || bucketOf(-1) != 0 {
-		t.Error("values <= 1 must land in bucket 0")
+	// The bottom fold holds everything <= 1, including the degenerate
+	// inputs; the top fold absorbs the unrepresentable tail.
+	for _, v := range []int64{-1, 0, 1} {
+		if r := row(v); r.Bucket != 0 || r.UpperNs != 1 {
+			t.Errorf("response %d: fold %d, want 0", v, r.Bucket)
+		}
 	}
-	if got := bucketOf(math.MaxInt64); got != histBuckets-1 {
-		t.Errorf("bucketOf(MaxInt64) = %d, want %d", got, histBuckets-1)
+	if r := row(math.MaxInt64); r.Bucket != metrics.Pow2Buckets-1 || r.UpperNs != math.MaxInt64 {
+		t.Errorf("response MaxInt64: fold %d edge %d", r.Bucket, r.UpperNs)
 	}
 }
 
-// A histogram whose observations all share one bucket must answer every
-// quantile with that bucket's upper edge — there is no sub-bucket
-// resolution to interpolate, and pretending otherwise would fabricate
-// precision the log2 layout does not have.
+// Requests whose responses all share one power-of-two fold answer every
+// quantile's row with that fold: the matrix has no finer resolution, so
+// each row carries all of the fold's requests and its edge, while the
+// histogram's own quantiles stay finer inside it.
 func TestHistSingleBucketQuantile(t *testing.T) {
-	h := &Hist{}
-	for _, v := range []int64{513, 700, 1000, 1024} { // all in bucket 10 (edge 1024)
-		h.Observe(v)
+	b := &BlameSet{}
+	for _, v := range []int64{513, 700, 1000, 1024} { // all in fold 10 (edge 1024)
+		var bl sim.Blame
+		bl.Ns[sim.BlameCache] = v
+		b.Observe(v, &bl)
 	}
-	for _, q := range []float64{0, 0.25, 0.5, 0.99, 0.999, 1} {
-		if got := h.Quantile(q); got != 1024 {
-			t.Fatalf("Quantile(%v) = %d, want 1024", q, got)
+	for _, r := range b.BlameTable(0, 0.25, 0.5, 0.99, 0.999, 1) {
+		if r.Bucket != 10 || r.UpperNs != 1024 || r.Count != 4 || r.MeanNs != (513+700+1000+1024)/4.0 {
+			t.Fatalf("P%g row %+v, want fold 10, edge 1024, 4 requests", r.Quantile*100, r)
 		}
 	}
-	if h.Count() != 4 {
-		t.Fatalf("Count = %d", h.Count())
+	if b.Count() != 4 {
+		t.Fatalf("Count = %d", b.Count())
+	}
+	if got := b.total.Quantile(0.5); got != 704 { // 700 lies in (696, 704]
+		t.Fatalf("response median = %d, want 704", got)
 	}
 }
 
@@ -76,7 +91,7 @@ func TestBlameSetNilSafe(t *testing.T) {
 		t.Fatalf("nil WriteBlameTable output %q", sb.String())
 	}
 
-	// Zero value: the cells matrix works, the interior *Hist/*Counter
+	// Zero value: the cells matrix works, the interior *LogHist/*Counter
 	// instruments are nil and must no-op individually.
 	zero := &BlameSet{}
 	zero.Observe(100, bl)

@@ -2,11 +2,11 @@ package obs
 
 import (
 	"math"
-	"math/bits"
 	"sync/atomic"
 )
 
-// The instruments below share three properties the rest of the package
+// The instruments below, and the histogram the catalog registers
+// (metrics.LogHist), share three properties the rest of the package
 // depends on:
 //
 //   - Nil-safe: every method on a nil receiver is a no-op (reads return
@@ -80,113 +80,4 @@ func (g *FGauge) Value() float64 {
 		return 0
 	}
 	return math.Float64frombits(g.v.Load())
-}
-
-// histBuckets is the fixed bucket count of Hist. Bucket i counts
-// observations v with 2^(i-1) < v <= 2^i (bucket 0 counts v <= 1); the
-// last bucket additionally absorbs everything larger than 2^62, so any
-// int64 maps to exactly one bucket.
-const histBuckets = 64
-
-// Hist is a fixed-bucket log2 histogram. Powers of two cover the whole
-// int64 range in 64 buckets, which keeps Observe a two-instruction index
-// computation and the memory footprint constant — no dynamic bucket maps,
-// no allocation, ever. The ~2x relative bucket width is plenty for latency
-// and size distributions whose interesting structure spans decades.
-// There is deliberately no separate observation counter: the count is the
-// sum of the buckets, computed at read time. Reads are rare (scrapes,
-// progress lines); Observe is the hot path and stays at two atomic adds.
-type Hist struct {
-	sum     atomic.Int64
-	buckets [histBuckets]atomic.Int64
-}
-
-// bucketOf returns the bucket index for v: ceil(log2(v)) clamped to the
-// bucket range, i.e. the smallest i with v <= 2^i.
-func bucketOf(v int64) int {
-	if v <= 1 {
-		return 0
-	}
-	b := bits.Len64(uint64(v - 1))
-	if b >= histBuckets {
-		b = histBuckets - 1
-	}
-	return b
-}
-
-// Observe records one value. Negative values clamp into bucket 0 (they
-// arise only from defensive call sites; the simulator's clocks are
-// monotonic).
-func (h *Hist) Observe(v int64) {
-	if h == nil {
-		return
-	}
-	h.sum.Add(v)
-	h.buckets[bucketOf(v)].Add(1)
-}
-
-// Count returns the number of observations (the sum of the buckets).
-func (h *Hist) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	var n int64
-	for i := range h.buckets {
-		n += h.buckets[i].Load()
-	}
-	return n
-}
-
-// Sum returns the sum of all observed values.
-func (h *Hist) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
-}
-
-// Mean returns the average observed value, or 0 with no observations.
-func (h *Hist) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.Sum()) / float64(n)
-}
-
-// Bucket returns the count in bucket i (not cumulative).
-func (h *Hist) Bucket(i int) int64 {
-	if h == nil || i < 0 || i >= histBuckets {
-		return 0
-	}
-	return h.buckets[i].Load()
-}
-
-// Quantile returns an upper-bound estimate of the q-quantile (0..1): the
-// upper edge of the bucket holding that rank. Exact to within one bucket
-// (a factor of two); good enough for progress lines and eyeballing tails.
-func (h *Hist) Quantile(q float64) int64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	rank := int64(q * float64(n))
-	if rank >= n {
-		rank = n - 1
-	}
-	var cum int64
-	for i := 0; i < histBuckets; i++ {
-		cum += h.buckets[i].Load()
-		if cum > rank {
-			switch {
-			case i == 0:
-				return 1
-			case i == histBuckets-1:
-				return math.MaxInt64 // overflow bucket has no finite edge
-			default:
-				return 1 << uint(i)
-			}
-		}
-	}
-	return math.MaxInt64
 }

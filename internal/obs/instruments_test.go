@@ -2,7 +2,10 @@ package obs
 
 import (
 	"math"
+	"strings"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 // Every instrument must be a safe no-op on a nil receiver: the disabled
@@ -25,10 +28,10 @@ func TestInstrumentsNilSafe(t *testing.T) {
 	if f.Value() != 0 {
 		t.Fatal("nil FGauge.Value != 0")
 	}
-	var h *Hist
+	var h *metrics.LogHist
 	h.Observe(5)
-	if h.Count() != 0 || h.Sum() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 || h.Bucket(0) != 0 {
-		t.Fatal("nil Hist is not a zero no-op")
+	if h.Count() != 0 || h.Sum() != 0 || h.Quantile(0.5) != 0 || h.Pow2Counts()[0] != 0 {
+		t.Fatal("nil histogram is not a zero no-op")
 	}
 }
 
@@ -55,61 +58,29 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 }
 
-// bucketOf must place v in the smallest bucket whose upper edge 2^i
-// satisfies v <= 2^i.
-func TestBucketOf(t *testing.T) {
-	cases := []struct {
-		v    int64
-		want int
-	}{
-		{-5, 0}, {0, 0}, {1, 0},
-		{2, 1},
-		{3, 2}, {4, 2},
-		{5, 3}, {8, 3},
-		{9, 4}, {1024, 10}, {1025, 11},
-		{math.MaxInt64, histBuckets - 1},
+// A value in the last power-of-two fold, (2^62, 2^63], has no finite le
+// edge: the exposition stops at 2^62 and counts it only under +Inf, while
+// the histogram's quantile reads it back as math.MaxInt64.
+func TestHistOverflowBucket(t *testing.T) {
+	r := &Registry{}
+	h := r.Hist("big_ns", "Huge.")
+	h.Observe(math.MaxInt64)
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		if got := bucketOf(tc.v); got != tc.want {
-			t.Errorf("bucketOf(%d) = %d, want %d", tc.v, got, tc.want)
+	out := b.String()
+	for _, want := range []string{
+		`big_ns_bucket{le="4611686018427387904"} 0` + "\n",
+		`big_ns_bucket{le="+Inf"} 1` + "\n",
+		"big_ns_count 1\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("exposition missing %q\n--- got ---\n%s", want, out)
 		}
 	}
-}
-
-func TestHistObserveAndStats(t *testing.T) {
-	h := &Hist{}
-	for _, v := range []int64{1, 2, 3, 100, 1000} {
-		h.Observe(v)
-	}
-	if h.Count() != 5 {
-		t.Fatalf("Count = %d", h.Count())
-	}
-	if h.Sum() != 1106 {
-		t.Fatalf("Sum = %d", h.Sum())
-	}
-	if got := h.Mean(); got != 1106.0/5 {
-		t.Fatalf("Mean = %v", got)
-	}
-	if h.Bucket(0) != 1 || h.Bucket(1) != 1 || h.Bucket(2) != 1 {
-		t.Fatal("small buckets misplaced")
-	}
-	// Median of {1,2,3,100,1000}: rank 2 lands on value 3, bucket edge 4.
-	if got := h.Quantile(0.5); got != 4 {
-		t.Fatalf("Quantile(0.5) = %d, want 4", got)
-	}
-	if got := h.Quantile(1.0); got != 1024 {
-		t.Fatalf("Quantile(1.0) = %d, want 1024", got)
-	}
-	if got := h.Quantile(0); got != 1 {
-		t.Fatalf("Quantile(0) = %d, want 1", got)
-	}
-}
-
-func TestHistOverflowBucket(t *testing.T) {
-	h := &Hist{}
-	h.Observe(math.MaxInt64)
-	if h.Bucket(histBuckets-1) != 1 {
-		t.Fatal("MaxInt64 not in overflow bucket")
+	if strings.Count(out, "big_ns_bucket") != 64 {
+		t.Fatalf("want 63 finite edges plus +Inf:\n%s", out)
 	}
 	if got := h.Quantile(0.5); got != math.MaxInt64 {
 		t.Fatalf("overflow quantile = %d", got)
@@ -121,7 +92,7 @@ func TestInstrumentAllocs(t *testing.T) {
 	c := &Counter{}
 	g := &Gauge{}
 	f := &FGauge{}
-	h := &Hist{}
+	h := &metrics.LogHist{}
 	if got := testing.AllocsPerRun(1000, func() {
 		c.Add(1)
 		g.Set(2)

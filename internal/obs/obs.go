@@ -20,8 +20,9 @@
 //     metrics bit-identical — instruments read events and device state,
 //     never mutate them.
 //   - The hot path stays allocation-free. Instruments are fixed-bucket
-//     log2 histograms and atomic counters; the unsampled trace path costs
-//     one hash and a few branches, and the disabled (nil) path one branch.
+//     histograms (metrics.LogHist) and atomic counters; the unsampled
+//     trace path costs one hash and a few branches, and the disabled
+//     (nil) path one branch.
 //   - Exposition is race-safe. The engine is single-threaded, but /metrics
 //     is served concurrently; every instrument is atomic, so a scrape
 //     mid-request reads a consistent-enough snapshot without locks.

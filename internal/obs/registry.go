@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	"repro/internal/metrics"
 )
 
 // instrumentKind discriminates the union inside family.
@@ -24,7 +26,7 @@ type family struct {
 	c          *Counter
 	g          *Gauge
 	f          *FGauge
-	h          *Hist
+	h          *metrics.LogHist
 }
 
 // Registry holds named instruments and renders them in the Prometheus
@@ -69,9 +71,9 @@ func (r *Registry) FGauge(name, help string) *FGauge {
 	return g
 }
 
-// Hist registers and returns a new log2 histogram.
-func (r *Registry) Hist(name, help string) *Hist {
-	h := &Hist{}
+// Hist registers and returns a new histogram.
+func (r *Registry) Hist(name, help string) *metrics.LogHist {
+	h := &metrics.LogHist{}
 	r.register(family{name: name, help: help, kind: kindHist, h: h})
 	return h
 }
@@ -106,26 +108,27 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return bw.Flush()
 }
 
-// writeHist renders one histogram family. The per-bucket counts are read
-// exactly once; because the engine may be updating concurrently, the
-// cumulative series and the total are both rebuilt from that single read
-// so the exposition is internally monotonic.
-func writeHist(w io.Writer, name string, h *Hist) {
+// writeHist renders one histogram family with power-of-two le edges:
+// each edge's count sums the histogram's finer buckets below it
+// (metrics.LogHist.Pow2Counts). The buckets are read exactly once;
+// because the engine may be updating concurrently, the cumulative series
+// and the total are both rebuilt from that single read so the exposition
+// is internally monotonic.
+func writeHist(w io.Writer, name string, h *metrics.LogHist) {
+	counts := h.Pow2Counts()
 	last := 0
-	var counts [histBuckets]int64
-	for i := 0; i < histBuckets; i++ {
-		counts[i] = h.Bucket(i)
-		if counts[i] > 0 {
+	for i, c := range counts {
+		if c > 0 {
 			last = i
 		}
 	}
 	var cum int64
 	for i := 0; i <= last; i++ {
 		cum += counts[i]
-		if i == histBuckets-1 {
-			break // the overflow bucket has no finite le edge
+		if i == metrics.Pow2Buckets-1 {
+			break // the last fold's edge, 2^63, is not a finite int64
 		}
-		fmt.Fprintf(w, "%s_bucket{le=\"%d\"} %d\n", name, int64(1)<<uint(i), cum)
+		fmt.Fprintf(w, "%s_bucket{le=\"%d\"} %d\n", name, metrics.Pow2Upper(i), cum)
 	}
 	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
 	fmt.Fprintf(w, "%s_sum %d\n", name, h.Sum())

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -19,7 +20,7 @@ type ShardSet struct {
 	Occupancy    *Gauge
 	Capacity     *Gauge
 	FlushedPages *Counter
-	ReqLatency   *Hist
+	ReqLatency   *metrics.LogHist
 	FlashWrites  *Counter
 	BPStalls     *Counter
 	BPStallNs    *Counter

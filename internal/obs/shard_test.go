@@ -2,10 +2,12 @@ package obs
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/metrics"
 	"repro/internal/replay"
 	"repro/internal/sim"
 	"repro/internal/ssd"
@@ -94,5 +96,65 @@ func TestShardObserversNilTelemetry(t *testing.T) {
 	hook := tel.ShardObservers(4)
 	if obs := hook(0, nil); len(obs) != 0 {
 		t.Fatalf("nil telemetry returned %d shard observers", len(obs))
+	}
+}
+
+// One P99 across a replay, its telemetry and its shards. With no warmup
+// every request is warm, so the replay's percentiles read a histogram
+// equal to the one the catalog exposes; the per-shard histograms merge
+// into the global one exactly; and each blame row's power-of-two fold
+// holds the histogram's quantile.
+func TestOneLatencyAcrossReplayTelemetryShards(t *testing.T) {
+	tr := testTrace(t)
+	for _, shards := range []int{1, 4} {
+		tel := New()
+		spec := replay.ShardSpec{
+			Shards:             shards,
+			Sharing:            sim.SharingEqual,
+			TotalCapacityPages: 1024,
+			NewPolicy:          func(_, capPages int) cache.Policy { return cache.NewLRU(capPages) },
+			NewDevice:          func(int) (*ssd.Device, error) { return testDevice(t), nil },
+			TenantRegionPages:  8,
+			ShardObservers:     tel.ShardObservers(shards),
+		}
+		m, err := replay.RunSharded(tr.Source(), spec, replay.Options{
+			Observers: []sim.Observer{tel.Observer()},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(m.ResponseHist, tel.ReqLatency) {
+			t.Fatalf("%d shards: replay histogram differs from ssdsim_request_latency_ns", shards)
+		}
+		for _, p := range []metrics.Percentile{m.ResponseP50, m.ResponseP99, m.ResponseP999} {
+			want := tel.ReqLatency.Quantile(p.Q)
+			if p.Value() != float64(want) || want == 0 {
+				t.Fatalf("%d shards: replay P%g = %v, telemetry %d", shards, p.Q*100, p.Value(), want)
+			}
+		}
+		merged := &metrics.LogHist{}
+		active := 0
+		for _, s := range tel.Shards {
+			merged.Merge(s.ReqLatency)
+			if s.ReqLatency.Count() > 0 {
+				active++
+			}
+		}
+		if active != shards {
+			t.Fatalf("%d of %d shards saw traffic", active, shards)
+		}
+		if !reflect.DeepEqual(merged, tel.ReqLatency) {
+			t.Fatalf("%d shards: merged shard histograms differ from the global one", shards)
+		}
+		rows := tel.Blame.BlameTable(0.5, 0.99, 0.999)
+		if len(rows) != 3 {
+			t.Fatalf("%d shards: %d blame rows", shards, len(rows))
+		}
+		for _, r := range rows {
+			if v := tel.ReqLatency.Quantile(r.Quantile); v <= r.UpperNs/2 || v > r.UpperNs {
+				t.Fatalf("%d shards: P%g = %d outside its blame fold (%d, %d]",
+					shards, r.Quantile*100, v, r.UpperNs/2, r.UpperNs)
+			}
+		}
 	}
 }

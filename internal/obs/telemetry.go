@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/ftl"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/ssd"
 )
@@ -29,8 +30,8 @@ type Telemetry struct {
 	PageMisses   *Counter
 	ReadMisses   *Counter
 	HitRatio     *FGauge
-	ReqLatency   *Hist
-	CacheLookup  *Hist
+	ReqLatency   *metrics.LogHist
+	CacheLookup  *metrics.LogHist
 	Bypassed     *Counter
 	Prefetched   *Counter
 	PolicyNodes  *Gauge
@@ -41,20 +42,20 @@ type Telemetry struct {
 	SimTime      *Gauge
 
 	// Eviction plane — updated per victim batch.
-	EvictionBatch *Hist
+	EvictionBatch *metrics.LogHist
 	FlushedPages  *Counter
 	CleanDrops    *Counter
 	IdleFlushed   *Counter
 	Destaged      *Counter
-	DestageNs     *Hist
-	VictimScan    *Hist
+	DestageNs     *metrics.LogHist
+	VictimScan    *metrics.LogHist
 
 	// Flash plane — updated by the ftl.Tap methods.
-	ProgramNs   *Hist
-	ReadNs      *Hist
-	EraseNs     *Hist
-	GCPauseNs   *Hist
-	GCPagesHist *Hist
+	ProgramNs   *metrics.LogHist
+	ReadNs      *metrics.LogHist
+	EraseNs     *metrics.LogHist
+	GCPauseNs   *metrics.LogHist
+	GCPagesHist *metrics.LogHist
 
 	// GC scheduler plane — preempt/resume arrive through the ftl.Tap
 	// methods; the tier/pacing counters are mirrored from

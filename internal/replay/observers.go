@@ -15,7 +15,7 @@ import (
 // zero-alloc steady state of the hot path survives the instrumentation.
 
 // coreObserver accumulates the always-on metrics: hit/miss counts,
-// response summaries and quantiles, eviction-batch histogram and flush
+// response summaries and histogram, eviction-batch histogram and flush
 // counters, node gauges, and the DRAM page traffic behind DRAMEnergyUJ.
 type coreObserver struct {
 	m         *Metrics
@@ -54,11 +54,10 @@ func (c *coreObserver) OnResult(_ *sim.Engine, ev *sim.ResultEvent) {
 		} else {
 			m.ReadPageHits += int64(res.Hits)
 		}
-		resp := float64(ev.Completion - req.Issue)
+		ns := ev.Completion - req.Issue
+		m.ResponseHist.Observe(ns)
+		resp := float64(ns)
 		m.Response.Observe(resp)
-		m.ResponseP50.Observe(resp)
-		m.ResponseP99.Observe(resp)
-		m.ResponseP999.Observe(resp)
 		if req.Write {
 			m.WriteResponse.Observe(resp)
 		} else {

@@ -196,11 +196,15 @@ type Metrics struct {
 	Response metrics.Summary
 	// ReadResponse / WriteResponse split Response by request type.
 	ReadResponse, WriteResponse metrics.Summary
-	// ResponseP50 / ResponseP99 / ResponseP999 estimate the median, 99th-
-	// and 99.9th-percentile response times (P² streaming estimators):
-	// whole-block flush bursts show up in the tail long before they move
-	// the mean, and foreground GC pauses live almost entirely in P99.9.
-	ResponseP50, ResponseP99, ResponseP999 *metrics.Quantile
+	// ResponseHist is the distribution of the same response times
+	// (metrics.LogHist: a quantile reads at most 1/64 above the exact
+	// nearest-rank value).
+	ResponseHist *metrics.LogHist
+	// ResponseP50 / ResponseP99 / ResponseP999 read the median, 99th- and
+	// 99.9th-percentile of ResponseHist: whole-block flush bursts show up
+	// in the tail long before they move the mean, and foreground GC
+	// pauses live almost entirely in P99.9.
+	ResponseP50, ResponseP99, ResponseP999 metrics.Percentile
 
 	// EvictionBatch is the histogram of pages per eviction operation
 	// (Fig. 10). Clean drops (CFLRU) are excluded: nothing was flushed.

@@ -101,11 +101,12 @@ func RunSharded(src trace.Source, spec ShardSpec, opts Options) (*Metrics, error
 		Policy:              pols[0].Name(),
 		EvictionBatch:       metrics.NewHist(512),
 		NodeBytes:           pols[0].NodeBytes(),
-		ResponseP50:         metrics.NewQuantile(0.5),
-		ResponseP99:         metrics.NewQuantile(0.99),
-		ResponseP999:        metrics.NewQuantile(0.999),
+		ResponseHist:        &metrics.LogHist{},
 		SmallThresholdPages: opts.SmallThresholdPages,
 	}
+	m.ResponseP50 = metrics.Percentile{Hist: m.ResponseHist, Q: 0.5}
+	m.ResponseP99 = metrics.Percentile{Hist: m.ResponseHist, Q: 0.99}
+	m.ResponseP999 = metrics.Percentile{Hist: m.ResponseHist, Q: 0.999}
 
 	// The measurement plane: the core metrics observer always runs; the
 	// specialized observers attach only when their option asks for them,

@@ -30,8 +30,8 @@ func msrText(t *testing.T, tr *trace.Trace) []byte {
 // golden: for every policy family, replaying an MSR stream through
 // RunSource (constant memory, trace.Scanner) must produce metrics
 // bit-identical to materializing the same bytes and running the classic
-// path — the full Metrics struct, histograms, P² quantiles and occupancy
-// series included.
+// path — the full Metrics struct, histograms (the response histogram
+// behind the percentiles too) and occupancy series included.
 func TestStreamingReplayMatchesMaterialized(t *testing.T) {
 	ts0, hm1 := workload.TS0(), workload.HM1()
 	mix, err := workload.Mix("eq", workload.Options{Scale: 0.01}, ts0, hm1)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -26,13 +27,13 @@ type instruments struct {
 	gcSlices        *obs.Counter
 	gcVictims       *obs.Counter
 
-	queueWait  *obs.Hist
-	service    *obs.Hist
-	windowWait *obs.Hist
+	queueWait  *metrics.LogHist
+	service    *metrics.LogHist
+	windowWait *metrics.LogHist
 
 	// simBlame[c] is the simulated-time blame breakdown of engine-served
 	// requests, per cause (nonzero shares only).
-	simBlame [sim.NumBlameCauses]*obs.Hist
+	simBlame [sim.NumBlameCauses]*metrics.LogHist
 }
 
 // observeBlame folds one engine-path response's blame partition.
