@@ -5,10 +5,11 @@
 all: test
 
 # check is the full pre-merge gate: formatting, build + vet + tests, the
-# race detector over the whole tree, the paper's default report pinned bit
-# for bit, a short fuzz pass over the trace parsers and differential
-# targets, then the quick model-based differential campaign (fast
-# implementations vs paper-literal oracles; see docs/TESTING.md).
+# race detector over the whole tree, the reports pinned bit for bit (the
+# default JSON, its GC-heavy twin and the text), a short fuzz pass over the
+# trace parsers and differential targets, then the quick model-based
+# differential campaign (fast implementations vs paper-literal oracles; see
+# docs/TESTING.md).
 check: fmt-check test test-race race-sharded report-check fuzz-smoke ssdcheck-quick
 
 # fmt-check fails (listing the offenders) when any file needs gofmt;
@@ -45,17 +46,30 @@ loc:
 			printf '%6d %s\n' "$$(cd "$$dir" && cat $$files | wc -l)" "$$pkg"; \
 		done | awk '{ print; total += $$1 } END { printf "%6d total\n", total }'
 
-# report-check rebuilds the default structured report (every table, figure
-# and extension; about 6 s on 2 vCPUs) and fails unless it is byte-identical
-# to results/report_default.json. The JSON is deterministic and writes each
-# float64 in its shortest exact form, so equal bytes mean equal bits. When a
-# change moves results on purpose, regenerate the file with
+# report-check rebuilds three reports and fails unless each is
+# byte-identical to its pin (about 9 s on 2 vCPUs in all):
+#   - the default structured report (every table, figure and extension),
+#     results/report_default.json;
+#   - the same report on devices preconditioned to 98%, whose GC migrates
+#     pages (write amplification above 1 on proj_0, erases on src1_2), so
+#     that a change to garbage collection cannot move a victim unseen:
+#     results/report_gc.json;
+#   - the default text report, results/experiments_default.txt.
+# The JSON is deterministic and writes each float64 in its shortest exact
+# form, so equal bytes mean equal bits. When a change moves results on
+# purpose, regenerate the files with
 #   go run ./cmd/experiments -json results/report_default.json
+#   go run ./cmd/experiments -precondition 0.98 -json results/report_gc.json
+#   go run ./cmd/experiments > results/experiments_default.txt
 # and name the moved figures in the change description.
 report-check:
-	tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT && \
-		go run ./cmd/experiments -json "$$tmp" >/dev/null && \
-		diff -u results/report_default.json "$$tmp"
+	dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+		go run ./cmd/experiments -json "$$dir/default.json" >/dev/null && \
+		diff -u results/report_default.json "$$dir/default.json" && \
+		go run ./cmd/experiments -precondition 0.98 -json "$$dir/gc.json" >/dev/null && \
+		diff -u results/report_gc.json "$$dir/gc.json" && \
+		go run ./cmd/experiments > "$$dir/default.txt" && \
+		diff -u results/experiments_default.txt "$$dir/default.txt"
 
 # report-full-check is report-check at the paper's scale: `experiments
 # -full` (Scale 10, the 128 GiB device) rebuilt into a temporary file and

@@ -860,136 +860,62 @@ func (f *FTL) Precondition(fraction float64) error {
 	return nil
 }
 
-// maybeGC runs greedy garbage collection on a plane until its free-block
-// count is back above the threshold. It returns the (possibly advanced)
-// time after which new programs may be issued: GC work occupies the chip,
-// so the caller's subsequent programs are delayed by the timeline itself;
-// the returned time equals the input time (GC is asynchronous with respect
-// to the host clock but synchronous on the chip resource).
+// maybeGC collects garbage on a plane until its free-block count is back at
+// the threshold, one victim at a time, each run to completion through the
+// scheduler's step code (stepJob, gcsched.go). It returns the (possibly
+// advanced) time after which new programs may be issued: GC work occupies
+// the chip, so the caller's subsequent programs are delayed by the timeline
+// itself; the returned time equals the input time (GC is asynchronous with
+// respect to the host clock but synchronous on the chip resource).
+//
+// A victim is the scheduler's job parked on this plane, adopted first so
+// its excluded victim re-enters circulation, or else the plane's greedy
+// victim: the full block with the fewest valid pages. A full frontier block
+// is a candidate like any other full block, since a plane whose free blocks
+// are gone may have nothing else to reclaim; open and retired blocks never
+// are. A job parked on another plane is left alone.
+//
+// Each completed round erases one victim and reclaims at least one invalid
+// page, so the loop terminates: either the free pool recovers or no victim
+// with invalid pages remains. A single round may be block-neutral
+// (migrations filled the GC frontier), which is why no round must grow the
+// free count. A victim whose erase fails retires instead of freeing: the
+// candidate pool shrank, and the loop re-selects the next-best victim. An
+// abandoned adoption goes on to the greedy rounds; a greedy round with no
+// place for a page ends the loop and, like one that found no victim, lets
+// allocation fail upstream.
 func (f *FTL) maybeGC(now int64, plane int) int64 {
-	// Each successful round erases one victim and reclaims at least one
-	// invalid page, so the loop terminates: either the free pool recovers
-	// or no victim with invalid pages remains and gcOnce reports failure.
-	// A single round may be block-neutral (migrations filled the active
-	// block), which is why we do not demand per-round free-count growth.
-	// Rounds that retire a failing victim shrink the candidate pool, so
-	// they too make progress toward termination.
-	if f.gcSched && f.job.active && f.job.plane == plane &&
-		len(f.freeBlocks[plane]) < f.gcLow && !f.degraded {
-		// Mandatory pressure on the in-flight job's plane: adopt and finish
-		// the job synchronously before any greedy rounds, so its excluded
-		// victim re-enters circulation.
-		f.noteResume(now)
-		f.finishJob(now)
-	}
-	for len(f.freeBlocks[plane]) < f.gcLow {
-		if f.degraded {
-			break // read-only mode: stop burning the remaining blocks
+	for len(f.freeBlocks[plane]) < f.gcLow && !f.degraded {
+		if f.job.active && f.job.plane == plane {
+			// Mandatory pressure on the parked job's plane: adopt it.
+			f.noteResume(now)
+			for f.job.active {
+				f.advanceJob(now)
+			}
+			continue
 		}
-		if !f.gcOnce(now, plane) {
-			break // nothing reclaimable; let allocation fail upstream
+		victim, _ := f.arr.GreedyVictim(plane, -1, -1)
+		if f.victimHook != nil {
+			f.victimHook(victimGreedy, plane, 0, victim)
+		}
+		if victim < 0 {
+			break // every candidate is fully valid
+		}
+		j := gcJob{active: true, plane: plane, victim: victim, chip: f.chip[plane]}
+		charged, progress := f.stats.GCPauseNs, false
+		for j.active {
+			_, progress = f.stepJob(&j, now)
+		}
+		if !progress {
+			// An abandoned greedy round charges no pause; its copies stand.
+			f.stats.GCPauseNs = charged
+			break
 		}
 		if f.gcSched {
 			f.sched.VictimsMandatory++
 		}
 	}
 	return now
-}
-
-// gcOnce selects the victim block with the fewest valid pages on the plane
-// (greedy policy), migrates its valid pages via in-chip copyback into the
-// plane's active block, erases it, and returns it to the free list. A full
-// frontier block is a candidate like any other full block: a plane whose
-// free blocks are gone may have nothing else to reclaim. Open and retired
-// blocks never are. maybeGC, the only caller, first finishes any in-flight
-// scheduled job on the plane, so no job's victim is ever among the
-// candidates.
-//
-// When the victim's erase fails (injected erase failure or grown-bad
-// detection), the block is retired instead of freed and gcOnce still
-// reports progress: the caller's loop re-selects the next-best victim —
-// the paper-stack equivalent of GC victim re-selection under erase faults.
-func (f *FTL) gcOnce(now int64, plane int) bool {
-	victim, _ := f.arr.GreedyVictim(plane, -1, -1)
-	if f.victimHook != nil {
-		f.victimHook(victimGreedy, plane, 0, victim)
-	}
-	if victim < 0 {
-		// Nothing reclaimable: every candidate is fully valid.
-		return false
-	}
-	chip := f.chip[plane]
-	// GC pause accounting: the collection's cost to foreground work is the
-	// die-busy time it adds to the victim's chip beyond the backlog already
-	// queued there (cross-plane migrations touch other chips too; the
-	// victim's chip dominates and keeps the accounting allocation-free).
-	// Computed unconditionally so Stats.GCPauseNs is identical with and
-	// without a Tap attached — telemetry must never change the counters.
-	gcStart := max(now, f.tl.ChipFree(chip))
-	moved := 0
-	// Migrate valid pages.
-	base := f.p.PPN(victim, 0)
-	for i := 0; i < f.p.PagesPerBlock; i++ {
-		ppn := base + int64(i)
-		if f.arr.State(ppn) != flash.PageValid {
-			continue
-		}
-		lpn := f.owner(ppn)
-		newPPN, tgt, _, err := f.allocPage(now, plane, false)
-		if err != nil {
-			return false
-		}
-		if err := f.arr.Invalidate(ppn); err != nil {
-			panic(fmt.Sprintf("ftl: gc invalidate: %v", err))
-		}
-		f.reverse[ppn] = unmapped
-		f.mapping[lpn] = entry(newPPN)
-		f.reverse[newPPN] = entry(lpn)
-		if tgtChip := f.chip[tgt]; tgtChip == chip {
-			// Same chip: in-place copyback, no channel traffic.
-			f.tl.Copyback(now, chip)
-		} else {
-			// Cross-plane fallback: data moves through the controller.
-			f.tl.Read(now, f.channel[plane], chip)
-			f.tl.Program(now, f.channel[tgt], tgtChip)
-		}
-		f.stats.GCMigrations++
-		moved++
-	}
-	// A frontier victim stops being the plane's open block before its
-	// erase, whether the block returns to the free list or retires.
-	if f.activeBlock[plane] == int32(victim) {
-		f.activeBlock[plane] = -1
-	}
-	if f.gcActive[plane] == int32(victim) {
-		f.gcActive[plane] = -1
-	}
-	f.aged.first[victim] = unmapped
-	if err := f.arr.Erase(victim); err != nil {
-		if errors.Is(err, fault.ErrEraseFail) || errors.Is(err, fault.ErrGrownBad) {
-			// The attempt occupied the die either way; the block is bad and
-			// never returns to the free list. Valid pages were migrated
-			// before the erase, so no data is at risk.
-			eraseDone := f.tl.Erase(now, chip)
-			f.retireBlock(victim)
-			f.stats.GCPauseNs += f.tl.ChipFree(chip) - gcStart
-			if f.tap != nil {
-				f.tap.TapErase(now, eraseDone)
-				f.tap.TapGC(f.tl.ChipFree(chip)-gcStart, moved)
-			}
-			return true // progress: candidate pool shrank, caller re-selects
-		}
-		panic(fmt.Sprintf("ftl: gc erase: %v", err))
-	}
-	eraseDone := f.tl.Erase(now, chip)
-	f.putFree(plane, int32(victim))
-	f.stats.GCRuns++
-	f.stats.GCPauseNs += f.tl.ChipFree(chip) - gcStart
-	if f.tap != nil {
-		f.tap.TapErase(now, eraseDone)
-		f.tap.TapGC(f.tl.ChipFree(chip)-gcStart, moved)
-	}
-	return true
 }
 
 // CheckInvariants validates mapping/reverse consistency, both resolved

@@ -1,10 +1,12 @@
-// Latency-aware GC scheduling: greedy gcOnce collects a whole victim
+// Latency-aware GC scheduling: greedy GC (maybeGC) collects whole victims
 // synchronously inside the write path, charging the full pause to whichever
 // request was unlucky. The scheduler in this file splits a collection into
 // resumable per-page copy steps around an explicit job state machine, so GC
 // can run in budgeted slices during idle windows, be preempted mid-victim
 // when foreground work arrives, and resume later — trading a little extra
-// bookkeeping for a much flatter pause tail.
+// bookkeeping for a much flatter pause tail. The steps (stepJob, finalizeJob)
+// are the FTL's one collection code: a greedy round is a job of its own,
+// stepped to completion inside maybeGC.
 //
 // Urgency tiers, driven by the per-plane free-block watermarks:
 //
@@ -15,8 +17,8 @@
 //     slices, a bounded number of copy steps piggyback on each host program
 //     (never the erase), spreading the migration cost across many requests.
 //   - mandatory (free < gcLow): maybeGC adopts and finishes any in-flight
-//     job on the plane, then falls back to the greedy loop — correctness
-//     and forward progress exactly as without the scheduler.
+//     job on the plane, then runs greedy rounds — correctness and forward
+//     progress exactly as without the scheduler.
 //
 // Victim selection weighs projected pause cost (valid pages × copy latency
 // plus the erase) against free-block pressure instead of valid count alone,
@@ -47,7 +49,7 @@ const (
 type victimSite uint8
 
 const (
-	victimGreedy     victimSite = iota // gcOnce
+	victimGreedy     victimSite = iota // maybeGC's greedy round
 	victimJob                          // startJob
 	victimJobOnPlane                   // startJobOnPlane
 )
@@ -92,10 +94,11 @@ type GCSchedStats struct {
 	CostDeferred int64
 }
 
-// gcJob is the resumable state of one in-flight victim collection. At most
-// one job exists per FTL; its victim block stays full (hence excluded from
-// re-selection and allocation) until the finalize erase, so mapping and
-// free-page invariants hold at every step boundary.
+// gcJob is the resumable state of one victim collection. The scheduler
+// keeps at most one in flight per FTL (FTL.job); its victim block stays
+// full (hence excluded from re-selection and allocation) until the finalize
+// erase, so mapping and free-page invariants hold at every step boundary.
+// A greedy round in maybeGC steps a job of its own to completion.
 type gcJob struct {
 	active  bool
 	plane   int
@@ -104,7 +107,6 @@ type gcJob struct {
 	next    int   // next page index of the victim to examine
 	moved   int   // valid pages migrated so far
 	pauseNs int64 // die-busy time accrued so far (sum of step deltas)
-	tier    uint8 // urgency tier at selection time
 }
 
 // EnableGCScheduler turns the preemptible GC scheduler on; an FTL that
@@ -164,8 +166,7 @@ func (f *FTL) ScheduleGC(now, budgetNs int64) int {
 			return collected
 		}
 		budget -= step
-		done, progress := f.stepJob(now)
-		if done && progress {
+		if f.advanceJob(now) {
 			collected++
 		}
 	}
@@ -252,10 +253,7 @@ func (f *FTL) startJobOnPlane(plane int) bool {
 }
 
 func (f *FTL) openJob(victim, plane int, tier uint8) {
-	f.job = gcJob{
-		active: true, plane: plane, victim: victim,
-		chip: f.chip[plane], tier: tier,
-	}
+	f.job = gcJob{active: true, plane: plane, victim: victim, chip: f.chip[plane]}
 	f.sched.JobsStarted++
 	switch tier {
 	case gcTierIdle:
@@ -287,14 +285,28 @@ func (f *FTL) jobHasCopyLeft() bool {
 	return false
 }
 
-// stepJob executes one unit of the in-flight job: the next valid-page copy,
-// or the finalize erase when none remain. Each step charges its own
-// die-busy delta to Stats.GCPauseNs (and the job's running total), so
-// pauses attribute to whichever slice actually incurred them. Returns
-// done=true when the job ended this step, with progress=true unless it was
-// abandoned on a failed migration allocation.
-func (f *FTL) stepJob(now int64) (done, progress bool) {
-	j := &f.job
+// advanceJob steps the scheduler's job once and counts the job's end. It
+// reports whether the step completed the victim's collection.
+func (f *FTL) advanceJob(now int64) bool {
+	done, progress := f.stepJob(&f.job, now)
+	switch {
+	case !done:
+	case progress:
+		f.sched.JobsCompleted++
+	default:
+		f.sched.JobsAbandoned++
+	}
+	return done && progress
+}
+
+// stepJob executes one unit of job j: the next valid-page copy, or the
+// finalize erase when none remain. Each step charges its own die-busy
+// delta to Stats.GCPauseNs (and the job's running total), so pauses
+// attribute to whichever slice actually incurred them. Returns done=true
+// when the job ended this step, with progress=true unless it was abandoned
+// on a failed migration allocation. A job that ends is reset to the zero
+// job.
+func (f *FTL) stepJob(j *gcJob, now int64) (done, progress bool) {
 	base := f.p.PPN(j.victim, 0)
 	for j.next < f.p.PagesPerBlock {
 		ppn := base + int64(j.next)
@@ -302,7 +314,7 @@ func (f *FTL) stepJob(now int64) (done, progress bool) {
 			j.next++
 			continue
 		}
-		sliceStart := max(now, f.tl.ChipFree(j.chip))
+		from := f.tl.ChipFree(j.chip)
 		lpn := f.owner(ppn)
 		newPPN, tgt, _, err := f.allocPage(now, j.plane, false)
 		if err != nil {
@@ -310,8 +322,7 @@ func (f *FTL) stepJob(now int64) (done, progress bool) {
 			// out of free blocks). Abandon: the victim is still full and
 			// every completed copy is individually consistent, so the
 			// mapping stays valid — we just made no further progress.
-			f.sched.JobsAbandoned++
-			f.job = gcJob{}
+			*j = gcJob{}
 			return true, false
 		}
 		if err := f.arr.Invalidate(ppn); err != nil {
@@ -321,31 +332,55 @@ func (f *FTL) stepJob(now int64) (done, progress bool) {
 		f.mapping[lpn] = entry(newPPN)
 		f.reverse[newPPN] = entry(lpn)
 		if tgtChip := f.chip[tgt]; tgtChip == j.chip {
+			// Same chip: in-place copyback, no channel traffic.
 			f.tl.Copyback(now, j.chip)
 		} else {
+			// Cross-plane fallback: data moves through the controller.
 			f.tl.Read(now, f.channel[j.plane], j.chip)
 			f.tl.Program(now, f.channel[tgt], tgtChip)
 		}
 		f.stats.GCMigrations++
 		j.moved++
 		j.next++
-		pause := f.tl.ChipFree(j.chip) - sliceStart
-		j.pauseNs += pause
-		f.stats.GCPauseNs += pause
+		f.chargePause(j, now, from)
 		return false, false
 	}
-	return true, f.finalizeJob(now)
+	f.finalizeJob(j, now)
+	return true, true
 }
 
-// finalizeJob erases the job's victim, mirroring gcOnce's erase tail:
-// success frees the block, an injected erase failure or grown-bad
-// detection retires it (both complete the job and count as progress — the
-// candidate pool shrank). TapGC fires once here with the job's cumulative
-// pause and page count, so downstream GC telemetry sees one collection per
-// victim whether it ran in one slice or ten.
-func (f *FTL) finalizeJob(now int64) bool {
-	j := &f.job
-	sliceStart := max(now, f.tl.ChipFree(j.chip))
+// chargePause charges a step of job j the die-busy time it added to the
+// victim's chip beyond now and beyond the backlog queued there before the
+// step (from, the chip's free time then): the step's share of the
+// collection's cost to foreground work. Cross-plane migrations touch other
+// chips too; the victim's chip dominates and keeps the accounting
+// allocation-free. Steps made at one now add up to the whole collection's
+// pause, ChipFree(end) − max(now, ChipFree(start)), since the erase leaves
+// the chip busy past now; the clamp at now keeps a cross-chip copy, whose
+// read does not move an idle die's free time, from charging a negative
+// step. The charge is made whether or not a Tap is attached, so
+// Stats.GCPauseNs is identical with and without telemetry.
+func (f *FTL) chargePause(j *gcJob, now, from int64) {
+	pause := max(f.tl.ChipFree(j.chip), now) - max(now, from)
+	j.pauseNs += pause
+	f.stats.GCPauseNs += pause
+}
+
+// finalizeJob erases job j's victim and ends the job: success frees the
+// block, an injected erase failure or grown-bad detection retires it (both
+// complete the job and count as progress — the candidate pool shrank). A
+// frontier victim, which only a greedy round takes, first stops being the
+// plane's open block. TapGC fires once here with the job's cumulative pause
+// and page count, so downstream GC telemetry sees one collection per victim
+// whether it ran in one slice or ten.
+func (f *FTL) finalizeJob(j *gcJob, now int64) {
+	from := f.tl.ChipFree(j.chip)
+	if f.activeBlock[j.plane] == int32(j.victim) {
+		f.activeBlock[j.plane] = -1
+	}
+	if f.gcActive[j.plane] == int32(j.victim) {
+		f.gcActive[j.plane] = -1
+	}
 	f.aged.first[j.victim] = unmapped
 	err := f.arr.Erase(j.victim)
 	if err != nil && !errors.Is(err, fault.ErrEraseFail) && !errors.Is(err, fault.ErrGrownBad) {
@@ -361,25 +396,12 @@ func (f *FTL) finalizeJob(now int64) bool {
 		f.putFree(j.plane, int32(j.victim))
 		f.stats.GCRuns++
 	}
-	pause := f.tl.ChipFree(j.chip) - sliceStart
-	j.pauseNs += pause
-	f.stats.GCPauseNs += pause
+	f.chargePause(j, now, from)
 	if f.tap != nil {
 		f.tap.TapErase(now, eraseDone)
 		f.tap.TapGC(j.pauseNs, j.moved)
 	}
-	f.sched.JobsCompleted++
-	f.job = gcJob{}
-	return true
-}
-
-// finishJob runs the in-flight job to completion with no budget — the
-// mandatory-tier adoption path used by maybeGC when the job's plane drops
-// below the foreground threshold.
-func (f *FTL) finishJob(now int64) {
-	for f.job.active {
-		f.stepJob(now)
-	}
+	*j = gcJob{}
 }
 
 // paceGC piggybacks up to PaceSteps copy steps on one host page program
@@ -403,7 +425,7 @@ func (f *FTL) paceGC(now int64, plane int) {
 		f.noteResume(now)
 	}
 	for steps := f.gcPace; steps > 0 && f.job.active && f.jobHasCopyLeft(); steps-- {
-		f.stepJob(now)
+		f.advanceJob(now)
 		f.sched.PacedSteps++
 	}
 	if f.job.active {

@@ -74,8 +74,8 @@ func TestMaybeGCTriggerThresholds(t *testing.T) {
 }
 
 func TestGCOnceReselectsAfterEraseFault(t *testing.T) {
-	// The first erase ever issued fails mid-GC: the victim is retired,
-	// gcOnce reports progress, and the maybeGC loop re-selects the
+	// The first erase ever issued fails mid-GC: the victim is retired, the
+	// greedy round reports progress, and the maybeGC loop re-selects the
 	// next-best victim until the pool recovers — without degrading (the
 	// default reserve tolerates it) and without losing any mapping.
 	f, inj, c := newFaulty(t, fault.Config{FailEraseOps: []int64{1}})
@@ -302,8 +302,8 @@ func TestPacedGCPreemptsAndResumes(t *testing.T) {
 
 func TestScheduledFinalizeRetiresOnEraseFault(t *testing.T) {
 	// The job's finalize erase fails: the victim must be retired (not
-	// freed), the job completes, and the mapping survives — the scheduled
-	// mirror of gcOnce's retirement tail.
+	// freed), the job completes, and the mapping survives — through the
+	// same finalizeJob retirement tail a greedy round ends in.
 	f, inj, c := newFaulty(t, fault.Config{FailEraseOps: []int64{1}})
 	// newFaulty uses tinyParams; rebuild on the one-plane geometry so the
 	// victim layout is exact.

@@ -25,8 +25,8 @@ func validPages(arr *flash.Array, block int) int {
 	return n
 }
 
-// referenceGreedy is gcOnce's scan: the full, healthy block with the
-// fewest valid pages, lowest index first.
+// referenceGreedy is maybeGC's greedy scan: the full, healthy block with
+// the fewest valid pages, lowest index first.
 func referenceGreedy(f *FTL, plane int) int {
 	first := f.p.FirstBlockOfPlane(plane)
 	victim := -1
@@ -45,8 +45,8 @@ func referenceGreedy(f *FTL, plane int) int {
 	return victim
 }
 
-// referenceJobOnPlane is startJobOnPlane's scan: gcOnce's, skipping the
-// plane's frontier blocks instead of a job's victim.
+// referenceJobOnPlane is startJobOnPlane's scan: the greedy one, skipping
+// the plane's frontier blocks.
 func referenceJobOnPlane(f *FTL, plane int) int {
 	first := f.p.FirstBlockOfPlane(plane)
 	victim, best := -1, f.p.PagesPerBlock+1
@@ -153,7 +153,7 @@ func checkVictims(t *testing.T, f *FTL) *victimCounts {
 // copies, program and erase faults retiring blocks, pre-worn devices, and
 // devices preconditioned to 90% the way ssd.New fills them. No greedy
 // choice may run beside an in-flight job on its plane: maybeGC finishes
-// that job first, which is why gcOnce skips no job victim.
+// that job first, which is why its greedy round skips no job victim.
 func TestGreedyVictimMatchesReferenceScans(t *testing.T) {
 	var total victimCounts
 	var retired int64
